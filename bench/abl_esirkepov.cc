@@ -44,8 +44,7 @@ struct SchemePoint {
   double cycles_per_step = 0.0;
   uint64_t digest = 0;
   double residual = 0.0;
-  uint64_t mopas = 0;
-  uint64_t mopa_valid_slots = 0;
+  MopaCounts mopa;
 };
 
 SchemePoint RunPoint(int order, DepositVariant variant, CurrentScheme scheme,
@@ -70,8 +69,7 @@ SchemePoint RunPoint(int order, DepositVariant variant, CurrentScheme scheme,
   FieldArray res0(g.nx, g.ny, g.nz, 2);
   GaussResidualField(sim->fields(), rho0, &res0);
   const double total_before = hw.ledger().TotalCycles();
-  const uint64_t mopas0 = hw.ledger().counters().mopas;
-  const uint64_t valid0 = hw.ledger().counters().mopa_valid_slots;
+  const LedgerCounters c0 = hw.ledger().counters();
 
   sim->Run(steps);
 
@@ -83,8 +81,7 @@ SchemePoint RunPoint(int order, DepositVariant variant, CurrentScheme scheme,
   r.cycles_per_step = (hw.ledger().TotalCycles() - total_before) / steps;
   r.digest = FieldsDigest(sim->fields());
   r.residual = MaxResidualChange(res1, res0, GaussResidualScale(rho0));
-  r.mopas = hw.ledger().counters().mopas - mopas0;
-  r.mopa_valid_slots = hw.ledger().counters().mopa_valid_slots - valid0;
+  r.mopa = MopaCounts::Delta(hw.ledger().counters(), c0);
   return r;
 }
 
@@ -187,7 +184,8 @@ bool Run(int steps) {
       {DepositVariant::kRhocellIncrSortVpu, false},
   };
   ConsoleTable mt({"Variant", "Order", "Direct cyc/step", "Esirk cyc/step",
-                   "Esirk/direct", "Gate", "MPU occupancy"});
+                   "Esirk/direct", "Gate", "MPU occupancy",
+                   "Gather MPU occ."});
   for (const VariantRow& row : variant_rows) {
     for (int order : {1, 3}) {
       const SchemePoint direct = RunPoint(order, row.v, CurrentScheme::kDirect,
@@ -203,14 +201,13 @@ bool Run(int steps) {
                     "%.2f MPU gate (BUG!)\n",
                     VariantName(row.v), order, ratio, kMaxMpuEsirkepovRatio);
       }
-      const double occ = MpuOccupancy(esirk.mopas, esirk.mopa_valid_slots);
+      // Deposit-only occupancy; the gather's MOPAs have their own column.
       mt.AddRow({VariantName(row.v), std::to_string(order),
                  FormatSci(direct.cycles_per_step, 3),
                  FormatSci(esirk.cycles_per_step, 3), FormatDouble(ratio, 3),
                  row.gated ? (within ? "<= 1.3 ok" : "EXCEEDED") : "(ungated)",
-                 esirk.mopas == 0
-                     ? std::string("-")
-                     : FormatDouble(100.0 * occ, 1) + "%"});
+                 esirk.mopa.DepositOccupancyCell(),
+                 esirk.mopa.GatherOccupancyCell()});
     }
   }
   mt.Print("Esirkepov cost across variants (fused, 1 core): the MOPA kernel "

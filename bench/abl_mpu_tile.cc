@@ -25,7 +25,7 @@ UniformWorkloadParams BaseParams(int order) {
 
 void Run() {
   ConsoleTable t({"Order", "Scheduling", "Staging", "Deposit (s)", "Compute (s)",
-                  "Preproc (s)", "MPU occupancy"});
+                  "Preproc (s)", "MPU occupancy", "Gather MPU occ."});
   struct Config {
     DepositVariant v;
     const char* scheduling;
@@ -47,9 +47,7 @@ void Run() {
                                  PhaseSec(r.report, Phase::kReduce),
                              4),
                 FormatDouble(PhaseSec(r.report, Phase::kPreproc), 4),
-                FormatDouble(100.0 * MpuOccupancy(r.mopas, r.mopa_valid_slots),
-                             1) +
-                    "%"});
+                r.mopa.DepositOccupancyCell(), r.mopa.GatherOccupancyCell()});
     }
   }
   t.Print("Ablation A2: MPU scheduling x staging (PPC=128)");
@@ -57,14 +55,16 @@ void Run() {
       "\nExpected: cell-resident + VPU staging wins; pairwise extraction costs\n"
       "grow with order (per-pair tile drain); scalar staging inflates preproc.\n"
       "Direct occupancy is fixed by the kernel: 25%% CIC pairs, 50%% QSP "
-      "pairs.\n");
+      "pairs.\nMPU occupancy counts deposit MOPAs only; the cell-batched field "
+      "gather\n(orders >= 2 on the sorted MPU variants) has its own column.\n");
 
   // Esirkepov MOPA utilization per order: the window width is data-dependent
   // (Order+1 nodes per axis without a cell crossing, Order+2 with), so the
   // occupancy is a measured property of the packing — order-1 narrow quads
   // 25%, order-2 narrow pairs 28%, order-3 narrow pairs 50%, diluted by the
   // crossing fraction of the drift (wide pairs / singles; esirkepov_mpu.h).
-  ConsoleTable et({"Order", "Scheduling", "MOPAs/particle-step", "MPU occupancy"});
+  ConsoleTable et({"Order", "Scheduling", "MOPAs/particle-step", "MPU occupancy",
+                   "Gather MPU occ."});
   for (int order : {1, 2, 3}) {
     for (DepositVariant v :
          {DepositVariant::kFullOpt, DepositVariant::kHybridNoSort}) {
@@ -74,12 +74,10 @@ void Run() {
       const BenchResult r = RunUniform(p, /*warmup=*/1, /*steps=*/2);
       et.AddRow({std::to_string(order),
                  v == DepositVariant::kFullOpt ? "cell-resident" : "pairwise",
-                 FormatDouble(static_cast<double>(r.mopas) /
+                 FormatDouble(static_cast<double>(r.mopa.deposit_mopas()) /
                                   static_cast<double>(r.particles),
                               3),
-                 FormatDouble(100.0 * MpuOccupancy(r.mopas, r.mopa_valid_slots),
-                              1) +
-                     "%"});
+                 r.mopa.DepositOccupancyCell(), r.mopa.GatherOccupancyCell()});
     }
   }
   et.Print("Esirkepov MOPA utilization (PPC=128, thermal drift)");

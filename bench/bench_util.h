@@ -20,21 +20,12 @@
 // benches gate bit-identity with live in the library; benches and tests must
 // hash state the same way or a digest mismatch means nothing.
 #include "src/common/fnv.h"
+#include "src/common/table.h"
 #include "src/core/diagnostics.h"
 #include "src/core/workloads.h"
 #include "src/runtime/digest.h"
 
 namespace mpic {
-
-struct BenchResult {
-  RunReport report;
-  int64_t particles = 0;
-  int64_t global_sorts = 0;
-  // MOPA issues and their useful slots over the measured window; the quotient
-  // mopa_valid_slots / (64 * mopas) is the mean MPU occupancy.
-  uint64_t mopas = 0;
-  uint64_t mopa_valid_slots = 0;
-};
 
 // Mean fraction of MPU tile slots carrying useful work per MOPA issue.
 inline double MpuOccupancy(uint64_t mopas, uint64_t valid_slots) {
@@ -42,6 +33,48 @@ inline double MpuOccupancy(uint64_t mopas, uint64_t valid_slots) {
                     : static_cast<double>(valid_slots) /
                           (64.0 * static_cast<double>(mopas));
 }
+
+// A table cell for an occupancy: "-" where no MOPA issued.
+inline std::string OccupancyCell(uint64_t mopas, uint64_t valid_slots) {
+  return mopas == 0
+             ? std::string("-")
+             : FormatDouble(100.0 * MpuOccupancy(mopas, valid_slots), 1) + "%";
+}
+
+// MOPA issues and their useful slots over a measured window: ledger-wide, and
+// the subset issued by the cell-batched field gather. Deposit figures are the
+// difference.
+struct MopaCounts {
+  uint64_t mopas = 0;
+  uint64_t valid_slots = 0;
+  uint64_t gather_mopas = 0;
+  uint64_t gather_valid_slots = 0;
+
+  static MopaCounts Delta(const LedgerCounters& now,
+                          const LedgerCounters& before) {
+    MopaCounts d;
+    d.mopas = now.mopas - before.mopas;
+    d.valid_slots = now.mopa_valid_slots - before.mopa_valid_slots;
+    d.gather_mopas = now.gather_mopas - before.gather_mopas;
+    d.gather_valid_slots =
+        now.gather_mopa_valid_slots - before.gather_mopa_valid_slots;
+    return d;
+  }
+  uint64_t deposit_mopas() const { return mopas - gather_mopas; }
+  std::string DepositOccupancyCell() const {
+    return OccupancyCell(deposit_mopas(), valid_slots - gather_valid_slots);
+  }
+  std::string GatherOccupancyCell() const {
+    return OccupancyCell(gather_mopas, gather_valid_slots);
+  }
+};
+
+struct BenchResult {
+  RunReport report;
+  int64_t particles = 0;
+  int64_t global_sorts = 0;
+  MopaCounts mopa;
+};
 
 // Runs a uniform-plasma workload: `warmup` steps outside the measured window,
 // then `steps` measured steps.
@@ -51,16 +84,14 @@ inline BenchResult RunUniform(const UniformWorkloadParams& params, int warmup,
   auto sim = MakeUniformSimulation(hw, params);
   sim->Run(warmup);
   const PhaseCycles before = SnapshotCycles(hw.ledger());
-  const uint64_t mopas0 = hw.ledger().counters().mopas;
-  const uint64_t valid0 = hw.ledger().counters().mopa_valid_slots;
+  const LedgerCounters c0 = hw.ledger().counters();
   const int64_t pushed_before = sim->particles_pushed();
   sim->Run(steps);
   BenchResult r;
   r.particles = sim->particles_pushed() - pushed_before;
   r.report = MakeRunReport(hw, before, r.particles, params.order);
   r.global_sorts = sim->engine().total_global_sorts();
-  r.mopas = hw.ledger().counters().mopas - mopas0;
-  r.mopa_valid_slots = hw.ledger().counters().mopa_valid_slots - valid0;
+  r.mopa = MopaCounts::Delta(hw.ledger().counters(), c0);
   return r;
 }
 
@@ -69,16 +100,14 @@ inline BenchResult RunLwfa(const LwfaWorkloadParams& params, int warmup, int ste
   auto sim = MakeLwfaSimulation(hw, params);
   sim->Run(warmup);
   const PhaseCycles before = SnapshotCycles(hw.ledger());
-  const uint64_t mopas0 = hw.ledger().counters().mopas;
-  const uint64_t valid0 = hw.ledger().counters().mopa_valid_slots;
+  const LedgerCounters c0 = hw.ledger().counters();
   const int64_t pushed_before = sim->particles_pushed();
   sim->Run(steps);
   BenchResult r;
   r.particles = sim->particles_pushed() - pushed_before;
   r.report = MakeRunReport(hw, before, r.particles, 1);
   r.global_sorts = sim->engine().total_global_sorts();
-  r.mopas = hw.ledger().counters().mopas - mopas0;
-  r.mopa_valid_slots = hw.ledger().counters().mopa_valid_slots - valid0;
+  r.mopa = MopaCounts::Delta(hw.ledger().counters(), c0);
   return r;
 }
 

@@ -75,6 +75,14 @@ std::vector<int> TileHomeDomains(const HwContext& hw,
   return domains;
 }
 
+// Whether the species' gather may batch by GPMA cell bins on the MPU (see
+// GatherFieldsTileFor). Both orchestrations ask this, so fused and legacy
+// gather identically.
+bool GatherByCellBins(const SpeciesBlock& block) {
+  const VariantTraits& traits = block.engine.traits();
+  return traits.uses_mpu && traits.sorted_iteration;
+}
+
 }  // namespace
 
 // ---- Shared per-tile stages -------------------------------------------------
@@ -274,7 +282,8 @@ void StepPipeline::FusedPass1Impl(const StepPipelineInputs& in, SpeciesBlock& bl
             CaptureOldPositionsTile(hw, tile);
           }
           GatherScratch& gs = block.gather_scratch[static_cast<size_t>(t)];
-          GatherFieldsTile<Order>(hw, tile, fields, gs);
+          GatherFieldsTileFor<Order>(hw, tile, fields, gs,
+                                     GatherByCellBins(block));
           PushTileBoris(hw, tile, gs, pp);
           part.pushed += tile.num_live();
           if (guards_on &&
@@ -500,7 +509,8 @@ void StepPipeline::LegacyGatherAndPushImpl(const StepPipelineInputs& in,
                      }
                      GatherScratch& gs =
                          block.gather_scratch[static_cast<size_t>(t)];
-                     GatherFieldsTile<Order>(hw, tile, fields, gs);
+                     GatherFieldsTileFor<Order>(hw, tile, fields, gs,
+                                                GatherByCellBins(block));
                      PushTileBoris(hw, tile, gs, pp);
                      part.pushed += tile.num_live();
                      if (guards_on) {

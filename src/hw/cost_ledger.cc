@@ -80,6 +80,8 @@ void CostLedger::SumWorkerCounters(const std::vector<const CostLedger*>& workers
     counters_.scatters += c.scatters;
     counters_.mopas += c.mopas;
     counters_.mopa_valid_slots += c.mopa_valid_slots;
+    counters_.gather_mopas += c.gather_mopas;
+    counters_.gather_mopa_valid_slots += c.gather_mopa_valid_slots;
     counters_.atomics += c.atomics;
     counters_.tasks_stolen += c.tasks_stolen;
     counters_.tasks_stolen_remote += c.tasks_stolen_remote;
@@ -122,6 +124,8 @@ std::string CostLedger::Summary() const {
   }
   out << "\nops: scalar=" << counters_.scalar_ops << " vpu=" << counters_.vpu_ops
       << " mopa=" << counters_.mopas << " mopa_valid=" << counters_.mopa_valid_slots
+      << " (gather=" << counters_.gather_mopas
+      << " gather_valid=" << counters_.gather_mopa_valid_slots << ")"
       << " gathers=" << counters_.gathers
       << " scatters=" << counters_.scatters << " atomics=" << counters_.atomics
       << " stolen=" << counters_.tasks_stolen

@@ -122,6 +122,15 @@ Vec8 HwContext::VLoad(const double* p) {
   return r;
 }
 
+void HwContext::VLoadLanes(const double* p, int lane0, int n, Vec8& dst) {
+  MPIC_DCHECK(lane0 >= 0 && n >= 1 && lane0 + n <= kVpuLanes);
+  ChargeMem(p, sizeof(double) * static_cast<size_t>(n),
+            cfg_.vector_mem_issue_cycles, /*write=*/false, 1);
+  for (int i = 0; i < n; ++i) {
+    dst[lane0 + i] = p[i];
+  }
+}
+
 void HwContext::VStore(double* p, const Vec8& v) {
   ChargeMem(p, sizeof(double) * kVpuLanes, cfg_.vector_mem_issue_cycles,
             /*write=*/true, 1);
@@ -338,12 +347,21 @@ double HwContext::VReduceSum(const Vec8& a) {
 
 // ---- MPU stream ------------------------------------------------------------
 
+void HwContext::CountMopa(int valid_slots) {
+  LedgerCounters& c = ledger_.counters();
+  ++c.mopas;
+  c.mopa_valid_slots += static_cast<uint64_t>(valid_slots);
+  if (ledger_.phase() == Phase::kGather) {
+    ++c.gather_mopas;
+    c.gather_mopa_valid_slots += static_cast<uint64_t>(valid_slots);
+  }
+  ledger_.AddCycles(cfg_.mopa_issue_cycles);
+}
+
 void HwContext::Mopa(MpuTileReg& tile, const Vec8& a, const Vec8& b,
                      int valid_slots) {
   MPIC_CHECK_MSG(cfg_.has_mpu, "MPU kernel executed on a machine without an MPU");
-  ++ledger_.counters().mopas;
-  ledger_.counters().mopa_valid_slots += static_cast<uint64_t>(valid_slots);
-  ledger_.AddCycles(cfg_.mopa_issue_cycles);
+  CountMopa(valid_slots);
   for (int r = 0; r < kMpuTile; ++r) {
     for (int c = 0; c < kMpuTile; ++c) {
       tile.At(r, c) = std::fma(a[r], b[c], tile.At(r, c));
@@ -354,9 +372,7 @@ void HwContext::Mopa(MpuTileReg& tile, const Vec8& a, const Vec8& b,
 void HwContext::MopaZero(MpuTileReg& tile, const Vec8& a, const Vec8& b,
                          int valid_slots) {
   MPIC_CHECK_MSG(cfg_.has_mpu, "MPU kernel executed on a machine without an MPU");
-  ++ledger_.counters().mopas;
-  ledger_.counters().mopa_valid_slots += static_cast<uint64_t>(valid_slots);
-  ledger_.AddCycles(cfg_.mopa_issue_cycles);
+  CountMopa(valid_slots);
   for (int r = 0; r < kMpuTile; ++r) {
     for (int c = 0; c < kMpuTile; ++c) {
       tile.At(r, c) = a[r] * b[c];

@@ -86,6 +86,11 @@ class HwContext {
 
   // Contiguous vector load/store of kVpuLanes doubles.
   Vec8 VLoad(const double* p);
+  // Merge-masked contiguous load: lanes [lane0, lane0 + n) of `dst` receive
+  // p[0..n), the other lanes keep their values (a predicated load into a
+  // live register). One vector-load issue; only the n loaded doubles are
+  // touched.
+  void VLoadLanes(const double* p, int lane0, int n, Vec8& dst);
   void VStore(double* p, const Vec8& v);
   void VStoreMasked(double* p, const Vec8& v, const Mask8& m);
 
@@ -126,7 +131,9 @@ class HwContext {
   // C += a (x) b over the full tile. One MOPA instruction. `valid_slots` is
   // the number of tile slots carrying useful work for this issue (<= 64); it
   // only feeds the occupancy counter, never the cycle charge — an MOPA costs
-  // the same whether its operands are fully or partially packed.
+  // the same whether its operands are fully or partially packed. Issues under
+  // Phase::kGather also count into the gather_mopas pair, so deposit-only
+  // figures can subtract them.
   void Mopa(MpuTileReg& tile, const Vec8& a, const Vec8& b,
             int valid_slots = kMpuTile * kMpuTile);
   // C = a (x) b: MOPA with accumulator clear, as offered by real matrix ISAs
@@ -192,6 +199,8 @@ class HwContext {
 
   void ChargeMem(const void* p, size_t bytes, double issue_cycles, bool write,
                  uint64_t count_as_vpu_mem);
+  // Issue charge and counters shared by Mopa and MopaZero.
+  void CountMopa(int valid_slots);
   // Home-domain intent for registrations issued by this context: the scoped
   // placement domain when one is active (authoritative), this context's own
   // domain otherwise (first-touch).

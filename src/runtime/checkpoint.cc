@@ -18,9 +18,10 @@ constexpr char kMagic[8] = {'M', 'P', 'I', 'C', 'C', 'K', 'P', '\1'};
 // section. Version 3: the SPECIES tail gained the three committed per-tile
 // owner vectors (sticky placement replans from them) and the LEDGER counters
 // gained the NUMA trio (tasks_stolen_remote, remote_lines, remote_cycles).
-// Older images omit state a bit-exact restart needs, so they are rejected
-// rather than half-restored.
-constexpr uint32_t kVersion = 3;
+// Version 4: the LEDGER counters gained the gather MOPA pair (gather_mopas,
+// gather_mopa_valid_slots). Older images omit state a bit-exact restart
+// needs, so they are rejected rather than half-restored.
+constexpr uint32_t kVersion = 4;
 
 enum SectionId : uint32_t {
   kSectionMeta = 1,
@@ -176,6 +177,9 @@ void WriteCounters(Writer* w, const LedgerCounters& c) {
   w->Pod<uint64_t>(c.tasks_stolen_remote);
   w->Pod<uint64_t>(c.remote_lines);
   w->Pod<double>(c.remote_cycles);
+  // v4: the gather MOPA pair, same reasoning.
+  w->Pod<uint64_t>(c.gather_mopas);
+  w->Pod<uint64_t>(c.gather_mopa_valid_slots);
 }
 
 bool ReadCounters(Reader* r, LedgerCounters* c) {
@@ -189,7 +193,8 @@ bool ReadCounters(Reader* r, LedgerCounters* c) {
   }
   return r->Pod(&c->tasks_stolen) && r->Pod(&c->steal_cycles) &&
          r->Pod(&c->tasks_stolen_remote) && r->Pod(&c->remote_lines) &&
-         r->Pod(&c->remote_cycles);
+         r->Pod(&c->remote_cycles) && r->Pod(&c->gather_mopas) &&
+         r->Pod(&c->gather_mopa_valid_slots);
 }
 
 CheckpointStatus ParseError(const std::string& what) {

@@ -1,6 +1,6 @@
 // Bit-exact checkpoint/restart of a full Simulation.
 //
-// Format (little-endian, version 2):
+// Format (little-endian, version 4):
 //
 //   [8B magic "MPICCKP\1"] [u32 version] [u32 section_count]
 //   section*: [u32 id] [u32 index] [u64 payload_bytes] [u64 payload_fnv]
@@ -15,12 +15,13 @@
 // the insertion history; then the complete re-sort policy state including the
 // adaptive throughput baselines, and the three per-tile cost-feedback
 // estimate vectors the kCostSteal scheduler plans from), an optional LEDGER
-// snapshot (per-phase modeled cycles + counters, including the steal
-// counters), and — when the machine models more than one rank — a RANKS
+// snapshot (per-phase modeled cycles + counters, including the steal, NUMA
+// and gather-MOPA counters), and — when the machine models more than one rank — a RANKS
 // section with the cumulative per-rank communication totals.
 //
-// Version 1 images (which omitted the policy baselines, cost estimates, and
-// steal counters) are rejected, not silently half-restored.
+// Images of an older version (each omits state a later one added: policy
+// baselines, cost estimates, owners, steal/NUMA/gather-MOPA counters) are
+// rejected, not silently half-restored.
 //
 // Every payload carries its length and FNV-1a checksum; RestoreCheckpoint
 // verifies every checksum and validates META compatibility BEFORE mutating

@@ -265,6 +265,33 @@ TEST(CheckpointRoundTrip, LedgerRestoreResumesModeledClock) {
   EXPECT_DOUBLE_EQ(twin_hw.ledger().TotalCycles(), cycles_at_save);
 }
 
+// The v4 LEDGER tail: a QSP kFullOpt run issues gather MOPAs (the
+// cell-batched field gather), and a ledger restore carries the pair over.
+TEST(CheckpointRoundTrip, LedgerRestoreCarriesGatherMopaCounters) {
+  UniformWorkloadParams p;
+  p.nx = p.ny = p.nz = 8;
+  p.ppc_x = p.ppc_y = p.ppc_z = 3;
+  p.tile = 4;
+  p.order = 3;
+
+  HwContext ref_hw(MachineConfig::Lx2MultiCore(2));
+  auto ref = MakeUniformSimulation(ref_hw, p);
+  ref->Run(2);
+  const LedgerCounters at_save = ref_hw.ledger().counters();
+  ASSERT_GT(at_save.gather_mopas, 0u);
+  std::vector<uint8_t> ckpt;
+  ASSERT_TRUE(SaveCheckpoint(*ref, &ckpt));
+
+  HwContext twin_hw(MachineConfig::Lx2MultiCore(2));
+  auto twin = MakeUniformSimulation(twin_hw, p);
+  CheckpointReadOptions opts;
+  opts.restore_ledger = true;
+  ASSERT_TRUE(RestoreCheckpoint(twin.get(), ckpt, opts));
+  EXPECT_EQ(twin_hw.ledger().counters().gather_mopas, at_save.gather_mopas);
+  EXPECT_EQ(twin_hw.ledger().counters().gather_mopa_valid_slots,
+            at_save.gather_mopa_valid_slots);
+}
+
 // ---- Cycle-exact restore: the model-sync handshake ---------------------------
 
 // Save with model_sync, restore with restore_ledger + model_sync: the twin
@@ -340,6 +367,8 @@ TEST(CheckpointCycleExact, RestoreMatchesUninterruptedRun) {
     EXPECT_EQ(b.gathers, a.gathers);
     EXPECT_EQ(b.scatters, a.scatters);
     EXPECT_EQ(b.mopas, a.mopas);
+    EXPECT_EQ(b.gather_mopas, a.gather_mopas);
+    EXPECT_EQ(b.gather_mopa_valid_slots, a.gather_mopa_valid_slots);
     EXPECT_EQ(b.l1_hits, a.l1_hits);
     EXPECT_EQ(b.l1_misses, a.l1_misses);
     EXPECT_EQ(b.l2_hits, a.l2_hits);
@@ -451,6 +480,34 @@ TEST(CheckpointRejection, RejectsVersion1Image) {
 }
 
 
+
+// Version 3 images lack the gather MOPA counters of the LEDGER tail; the
+// version gate rejects them like every older format.
+TEST(CheckpointRejection, RejectsVersion3Image) {
+  UniformWorkloadParams p;
+  p.nx = p.ny = p.nz = 8;
+  p.ppc_x = p.ppc_y = p.ppc_z = 1;
+  p.tile = 4;
+
+  HwContext src_hw(MachineConfig::Lx2MultiCore(1));
+  auto src = MakeUniformSimulation(src_hw, p);
+  src->Run(1);
+  std::vector<uint8_t> ckpt;
+  ASSERT_TRUE(SaveCheckpoint(*src, &ckpt));
+  ASSERT_EQ(ckpt[8], 4) << "current images are version 4";
+
+  HwContext tgt_hw(MachineConfig::Lx2MultiCore(1));
+  auto tgt = MakeUniformSimulation(tgt_hw, p);
+  const uint64_t before = SimulationDigest(*tgt);
+
+  std::vector<uint8_t> old_image = ckpt;
+  old_image[8] = 3;  // u32 version field, little-endian, at offset 8
+  const CheckpointStatus st = RestoreCheckpoint(tgt.get(), old_image);
+  EXPECT_FALSE(st.ok);
+  EXPECT_NE(st.error.find("unsupported version 3"), std::string::npos)
+      << st.error;
+  EXPECT_EQ(SimulationDigest(*tgt), before) << "target mutated on reject";
+}
 
 TEST(CheckpointRejection, TruncationAndCorruptionLeaveTargetUnmutated) {
   UniformWorkloadParams p;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "src/hw/hw_context.h"
@@ -186,6 +187,34 @@ TEST(LedgerSummary, MentionsCountersAndPhases) {
   EXPECT_NE(s.find("mopa=1"), std::string::npos);
   EXPECT_NE(s.find("scalar=3"), std::string::npos);
   EXPECT_NE(s.find("other="), std::string::npos);
+}
+
+// MOPAs issued under Phase::kGather count into both the ledger-wide pair and
+// the gather pair; other phases only into the ledger-wide pair. The pair
+// merges across workers and shows in the Summary.
+TEST(LedgerCounters, GatherMopasCountedApartFromDeposit) {
+  HwContext hw;
+  MpuTileReg tile;
+  {
+    PhaseScope phase(hw.ledger(), Phase::kCompute);
+    hw.Mopa(tile, Vec8::Splat(1.0), Vec8::Splat(1.0), 32);
+  }
+  {
+    PhaseScope phase(hw.ledger(), Phase::kGather);
+    hw.MopaZero(tile, Vec8::Splat(1.0), Vec8::Splat(1.0), 24);
+    hw.Mopa(tile, Vec8::Splat(1.0), Vec8::Splat(1.0), 16);
+  }
+  const LedgerCounters& c = hw.ledger().counters();
+  EXPECT_EQ(c.mopas, 3u);
+  EXPECT_EQ(c.mopa_valid_slots, 72u);
+  EXPECT_EQ(c.gather_mopas, 2u);
+  EXPECT_EQ(c.gather_mopa_valid_slots, 40u);
+  EXPECT_NE(hw.ledger().Summary().find("gather=2"), std::string::npos);
+
+  CostLedger merged;
+  merged.MergeParallel({&hw.ledger(), &hw.ledger()});
+  EXPECT_EQ(merged.counters().gather_mopas, 4u);
+  EXPECT_EQ(merged.counters().gather_mopa_valid_slots, 80u);
 }
 
 TEST(Vec, SplatAndMaskHelpers) {
