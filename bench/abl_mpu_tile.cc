@@ -4,6 +4,11 @@
 //   * VPU staging vs scalar staging (the hybrid-pipeline argument),
 // for both CIC and QSP, plus the measured MPU occupancy (valid tile slots per
 // MOPA issue) for the direct and the Esirkepov kernels.
+//
+// Exits non-zero unless the component-packed direct deposit (deposit_mpu.h)
+// holds its figures: cell-resident QSP occupancy exactly 75%, cell-resident
+// CIC occupancy >= 36% (37.5% less the odd-bin singletons), and no pairwise
+// row slower than the pair-layout kernel it replaced (kPairLayoutDepositS).
 
 #include <cstdio>
 
@@ -12,6 +17,11 @@
 
 namespace mpic {
 namespace {
+
+// Modeled deposit seconds of the pairwise rows under the previous pair layout
+// (two particles per MOPA, one pass per component), by order.
+constexpr double kPairLayoutDepositS[] = {0.023086743115206438,   // CIC
+                                          0.12104473171738207};  // QSP
 
 UniformWorkloadParams BaseParams(int order) {
   UniformWorkloadParams p;
@@ -23,7 +33,8 @@ UniformWorkloadParams BaseParams(int order) {
   return p;
 }
 
-void Run() {
+bool Run() {
+  bool ok = true;
   ConsoleTable t({"Order", "Scheduling", "Staging", "Deposit (s)", "Compute (s)",
                   "Preproc (s)", "MPU occupancy", "Gather MPU occ."});
   struct Config {
@@ -41,8 +52,23 @@ void Run() {
       UniformWorkloadParams p = BaseParams(order);
       p.variant = c.v;
       const BenchResult r = RunUniform(p, /*warmup=*/1, /*steps=*/2);
+      const double occupancy = r.mopa.DepositOccupancy();
+      const double deposit_s = r.report.deposition_seconds;
+      if (c.v == DepositVariant::kHybridNoSort) {
+        const double ceiling = kPairLayoutDepositS[order == 1 ? 0 : 1];
+        if (deposit_s > ceiling) {
+          std::printf("FAIL: order %d pairwise deposit %.6g s > %.6g s of the "
+                      "pair layout\n", order, deposit_s, ceiling);
+          ok = false;
+        }
+      } else if (order == 3 ? occupancy != 0.75 : occupancy < 0.36) {
+        std::printf("FAIL: order %d cell-resident (%s staging) occupancy "
+                    "%.4f, gate %s\n", order, c.staging, occupancy,
+                    order == 3 ? "== 0.75" : ">= 0.36");
+        ok = false;
+      }
       t.AddRow({std::to_string(order), c.scheduling, c.staging,
-                FormatDouble(r.report.deposition_seconds, 4),
+                FormatDouble(deposit_s, 4),
                 FormatDouble(PhaseSec(r.report, Phase::kCompute) +
                                  PhaseSec(r.report, Phase::kReduce),
                              4),
@@ -54,8 +80,9 @@ void Run() {
   std::printf(
       "\nExpected: cell-resident + VPU staging wins; pairwise extraction costs\n"
       "grow with order (per-pair tile drain); scalar staging inflates preproc.\n"
-      "Direct occupancy is fixed by the kernel: 25%% CIC pairs, 50%% QSP "
-      "pairs.\nMPU occupancy counts deposit MOPAs only; the cell-batched field "
+      "Direct occupancy is fixed by the component-packed kernel: 75%% QSP\n"
+      "(4 MOPAs per particle), 37.5%% CIC pairs less odd-bin singletons.\n"
+      "MPU occupancy counts deposit MOPAs only; the cell-batched field "
       "gather\n(orders >= 2 on the sorted MPU variants) has its own column.\n");
 
   // Esirkepov MOPA utilization per order: the window width is data-dependent
@@ -81,12 +108,11 @@ void Run() {
     }
   }
   et.Print("Esirkepov MOPA utilization (PPC=128, thermal drift)");
+  std::printf("\nDirect-deposit gates: %s\n", ok ? "ok" : "FAIL");
+  return ok;
 }
 
 }  // namespace
 }  // namespace mpic
 
-int main() {
-  mpic::Run();
-  return 0;
-}
+int main() { return mpic::Run() ? 0 : 1; }

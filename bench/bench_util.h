@@ -61,6 +61,9 @@ struct MopaCounts {
     return d;
   }
   uint64_t deposit_mopas() const { return mopas - gather_mopas; }
+  double DepositOccupancy() const {
+    return MpuOccupancy(deposit_mopas(), valid_slots - gather_valid_slots);
+  }
   std::string DepositOccupancyCell() const {
     return OccupancyCell(deposit_mopas(), valid_slots - gather_valid_slots);
   }

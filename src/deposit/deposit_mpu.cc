@@ -80,61 +80,60 @@ void DepositSparseBinVpu(HwContext& hw, const DepositScratch& scratch,
   }
 }
 
-// ---------------------------------------------------------------------------
-// Order 1 (CIC): A = [wq*sx (p1,2 lanes) | wq*sx (p2,2 lanes) | 0...],
-// B = [syz (p1,4 lanes) | syz (p2,4 lanes)]; one MOPA per component per pair.
-// ---------------------------------------------------------------------------
-
-void CicMopaPair(HwContext& hw, const DepositScratch& scratch, int64_t p1, int64_t p2,
-                 MpuTileReg tiles[3]) {
-  const auto i1 = static_cast<size_t>(p1);
-  Vec8 b = Vec8::Zero();
-  b[0] = scratch.sy[0][i1] * scratch.sz_[0][i1];
-  b[1] = scratch.sy[1][i1] * scratch.sz_[0][i1];
-  b[2] = scratch.sy[0][i1] * scratch.sz_[1][i1];
-  b[3] = scratch.sy[1][i1] * scratch.sz_[1][i1];
-  if (p2 >= 0) {
-    const auto i2 = static_cast<size_t>(p2);
-    b[4] = scratch.sy[0][i2] * scratch.sz_[0][i2];
-    b[5] = scratch.sy[1][i2] * scratch.sz_[0][i2];
-    b[6] = scratch.sy[0][i2] * scratch.sz_[1][i2];
-    b[7] = scratch.sy[1][i2] * scratch.sz_[1][i2];
-  }
-  ChargeVpuOps(hw, 3);  // B assembly: two permutes + one multiply
-
-  const std::vector<double>* wq_streams[3] = {&scratch.wqx, &scratch.wqy,
-                                              &scratch.wqz};
-  for (int comp = 0; comp < 3; ++comp) {
-    const double wq1 = (*wq_streams[comp])[i1];
-    Vec8 a = Vec8::Zero();
-    a[0] = wq1 * scratch.sx[0][i1];
-    a[1] = wq1 * scratch.sx[1][i1];
-    if (p2 >= 0) {
-      const auto i2 = static_cast<size_t>(p2);
-      const double wq2 = (*wq_streams[comp])[i2];
-      a[2] = wq2 * scratch.sx[0][i2];
-      a[3] = wq2 * scratch.sx[1][i2];
-    }
-    ChargeVpuOps(hw, 1);  // A assembly: fused multiply on the pre-permuted
-                          // batch registers (one op per component)
-    hw.Mopa(tiles[comp], a, b, p2 >= 0 ? 16 : 8);
+// Issues one MOPA; `fresh` starts a new accumulation (MopaZero) instead of
+// adding to the tile.
+void IssueMopa(HwContext& hw, bool fresh, MpuTileReg& tile, const Vec8& rows,
+               const Vec8& cols, int valid_slots) {
+  if (fresh) {
+    hw.MopaZero(tile, rows, cols, valid_slots);
+  } else {
+    hw.Mopa(tile, rows, cols, valid_slots);
   }
 }
 
-// Reads the pair blocks out of the tiles. node k = a + 2*m with a the x-term
-// and m the yz-term: p1's value is C[a][m], p2's is C[2+a][4+m].
-void CicReadTiles(HwContext& hw, const MpuTileReg tiles[3], double p1_nodes[3][8],
-                  double p2_nodes[3][8]) {
-  for (int comp = 0; comp < 3; ++comp) {
-    Vec8 rows[4];
-    for (int r = 0; r < 4; ++r) {
-      rows[r] = hw.TileReadRow(tiles[comp], r);
+// ---------------------------------------------------------------------------
+// Order 1 (CIC): one row operand [syz_p | syz_q] shared by two tiles,
+// tiles[0] with columns [wqx·sx, wqy·sx (p) | (q)], tiles[1] with
+// [wqz·sx (p) | (q) | 0].
+// ---------------------------------------------------------------------------
+
+void CicMopaPair(HwContext& hw, const DepositScratch& scratch, int64_t p, int64_t q,
+                 bool fresh, MpuTileReg tiles[2]) {
+  Vec8 rows = Vec8::Zero();
+  Vec8 xy = Vec8::Zero();
+  Vec8 z = Vec8::Zero();
+  const int64_t pair[2] = {p, q};
+  for (int cls = 0; cls < 2 && pair[cls] >= 0; ++cls) {
+    const auto i = static_cast<size_t>(pair[cls]);
+    for (int c = 0; c < 2; ++c) {
+      for (int b = 0; b < 2; ++b) {
+        rows[4 * cls + b + 2 * c] = scratch.sy[b][i] * scratch.sz_[c][i];
+      }
     }
-    ChargeVpuOps(hw, 4);  // interleave/shift network
+    for (int a = 0; a < 2; ++a) {
+      xy[4 * cls + a] = scratch.wqx[i] * scratch.sx[a][i];
+      xy[4 * cls + 2 + a] = scratch.wqy[i] * scratch.sx[a][i];
+      z[2 * cls + a] = scratch.wqz[i] * scratch.sx[a][i];
+    }
+  }
+  ChargeVpuOps(hw, 5);  // operand assembly (deposit_mpu.h)
+  const int particles = q >= 0 ? 2 : 1;
+  IssueMopa(hw, fresh, tiles[0], rows, xy, 16 * particles);
+  IssueMopa(hw, fresh, tiles[1], rows, z, 8 * particles);
+}
+
+// Reads the class blocks (p at rows 0-3, q at rows 4-7) out of the two tiles
+// in the rhocell layout k = a + 2m. The caller charges the permute network.
+void CicReadTiles(HwContext& hw, const MpuTileReg tiles[2], int classes,
+                  double nodes[2][3][8]) {
+  for (int cls = 0; cls < classes; ++cls) {
     for (int m = 0; m < 4; ++m) {
+      const Vec8 xy = hw.TileReadRow(tiles[0], 4 * cls + m);
+      const Vec8 z = hw.TileReadRow(tiles[1], 4 * cls + m);
       for (int a = 0; a < 2; ++a) {
-        p1_nodes[comp][a + 2 * m] = rows[a][m];
-        p2_nodes[comp][a + 2 * m] = rows[2 + a][4 + m];
+        nodes[cls][0][a + 2 * m] = xy[4 * cls + a];
+        nodes[cls][1][a + 2 * m] = xy[4 * cls + 2 + a];
+        nodes[cls][2][a + 2 * m] = z[2 * cls + a];
       }
     }
   }
@@ -159,20 +158,17 @@ void DepositMpuCic(HwContext& hw, const ParticleTile& tile,
                    const DepositScratch& scratch, RhocellBuffer& rhocell,
                    MpuScheduling scheduling, int sparse_fallback_ppc) {
   PhaseScope phase(hw.ledger(), Phase::kCompute);
-  MpuTileReg tiles[3];
-  for (auto& t : tiles) {
-    hw.TileZero(t);
-  }
+  MpuTileReg tiles[2];
+  int64_t batch[kVpuLanes];
 
   if (scheduling == MpuScheduling::kCellResident) {
-    // Tiles accumulate across every particle of the cell; one extraction per
-    // cell merges the p1-class and p2-class blocks (same cell by sorting).
+    // Tiles accumulate across every particle of the cell; one drain per cell
+    // merges the p-class and q-class blocks (same cell by sorting).
     ForEachCellBin(hw, tile, [&](int cell, const int32_t* pids, int32_t len) {
       if (len < sparse_fallback_ppc) {
         DepositSparseBinVpu<1>(hw, scratch, rhocell, cell, pids, len);
         return;
       }
-      int64_t batch[kVpuLanes];
       for (int32_t s = 0; s < len; s += kVpuLanes) {
         const int count = std::min<int32_t>(kVpuLanes, len - s);
         for (int j = 0; j < count; ++j) {
@@ -181,28 +177,27 @@ void DepositMpuCic(HwContext& hw, const ParticleTile& tile,
         GatherStagedBatch<1>(hw, scratch, batch, count);
         for (int j = 0; j < count; j += 2) {
           CicMopaPair(hw, scratch, batch[j], j + 1 < count ? batch[j + 1] : -1,
-                      tiles);
+                      s + j == 0, tiles);
         }
       }
-      double p1_nodes[3][8], p2_nodes[3][8], merged[3][8];
-      CicReadTiles(hw, tiles, p1_nodes, p2_nodes);
-      ChargeVpuOps(hw, 3);  // merge adds (one per component)
-      for (int comp = 0; comp < 3; ++comp) {
-        for (int k = 0; k < 8; ++k) {
-          merged[comp][k] = p1_nodes[comp][k] + p2_nodes[comp][k];
+      const int classes = len >= 2 ? 2 : 1;
+      double nodes[2][3][8];
+      CicReadTiles(hw, tiles, classes, nodes);
+      ChargeVpuOps(hw, classes == 2 ? 15 : 7);  // drain network, merge adds
+      if (classes == 2) {
+        for (int comp = 0; comp < 3; ++comp) {
+          for (int k = 0; k < 8; ++k) {
+            nodes[0][comp][k] += nodes[1][comp][k];
+          }
         }
       }
-      CicAccumulateBlocks(hw, rhocell, cell, merged);
-      for (auto& t : tiles) {
-        hw.TileZero(t);
-      }
+      CicAccumulateBlocks(hw, rhocell, cell, nodes[0]);
     });
     return;
   }
 
   // Pairwise: slot order; tiles are drained after every pair, and each
   // particle's block goes to its own cell (the pair may straddle cells).
-  int64_t batch[kVpuLanes];
   int batch_fill = 0;
   auto flush = [&]() {
     if (batch_fill == 0) {
@@ -210,21 +205,16 @@ void DepositMpuCic(HwContext& hw, const ParticleTile& tile,
     }
     GatherStagedBatch<1>(hw, scratch, batch, batch_fill);
     for (int j = 0; j < batch_fill; j += 2) {
-      const int64_t p1 = batch[j];
-      const int64_t p2 = j + 1 < batch_fill ? batch[j + 1] : -1;
-      CicMopaPair(hw, scratch, p1, p2, tiles);
-      double p1_nodes[3][8], p2_nodes[3][8];
-      CicReadTiles(hw, tiles, p1_nodes, p2_nodes);
-      CicAccumulateBlocks(hw, rhocell,
-                          StagedCellOf<1>(tile, scratch, static_cast<size_t>(p1)),
-                          p1_nodes);
-      if (p2 >= 0) {
-        CicAccumulateBlocks(hw, rhocell,
-                            StagedCellOf<1>(tile, scratch, static_cast<size_t>(p2)),
-                            p2_nodes);
-      }
-      for (auto& t : tiles) {
-        hw.TileZero(t);
+      const int classes = j + 1 < batch_fill ? 2 : 1;
+      CicMopaPair(hw, scratch, batch[j], classes == 2 ? batch[j + 1] : -1,
+                  /*fresh=*/true, tiles);
+      double nodes[2][3][8];
+      CicReadTiles(hw, tiles, classes, nodes);
+      ChargeVpuOps(hw, 7 * classes);  // drain network per class
+      for (int cls = 0; cls < classes; ++cls) {
+        const auto i = static_cast<size_t>(batch[j + cls]);
+        CicAccumulateBlocks(hw, rhocell, StagedCellOf<1>(tile, scratch, i),
+                            nodes[cls]);
       }
     }
     batch_fill = 0;
@@ -239,72 +229,67 @@ void DepositMpuCic(HwContext& hw, const ParticleTile& tile,
 }
 
 // ---------------------------------------------------------------------------
-// Order 3 (QSP): per component pass, four tiles T_c (one per z-term) stay
-// resident; A_c = [wq*sz_c*sx0..3 (p1) | (p2)], B = [sy0..3 (p1) | (p2)].
+// Order 3 (QSP): four tiles per particle, indexed kXyLo, kXyHi, kZLo, kZHi.
+// Rows lo/hi carry the yz weights of m = 0..7 / 8..15, columns
+// [wqx·sx | wqy·sx] (xy tiles) or [wqz·sx | 0] (z tiles).
 // ---------------------------------------------------------------------------
 
-void QspMopaPair(HwContext& hw, const DepositScratch& scratch, int64_t p1, int64_t p2,
-                 const std::vector<double>& wq_stream, MpuTileReg tiles[4]) {
-  const auto i1 = static_cast<size_t>(p1);
-  Vec8 b = Vec8::Zero();
-  for (int t = 0; t < 4; ++t) {
-    b[t] = scratch.sy[t][i1];
-  }
-  if (p2 >= 0) {
-    const auto i2 = static_cast<size_t>(p2);
-    for (int t = 0; t < 4; ++t) {
-      b[4 + t] = scratch.sy[t][i2];
-    }
-  }
-  ChargeVpuOps(hw, 1);  // B assembly: one permute of the gathered sy registers
+enum QspTile { kXyLo = 0, kXyHi = 1, kZLo = 2, kZHi = 3 };
 
-  const double wq1 = wq_stream[i1];
-  const double wq2 = p2 >= 0 ? wq_stream[static_cast<size_t>(p2)] : 0.0;
-  for (int c = 0; c < 4; ++c) {
-    Vec8 a = Vec8::Zero();
-    const double f1 = wq1 * scratch.sz_[c][i1];
-    for (int t = 0; t < 4; ++t) {
-      a[t] = f1 * scratch.sx[t][i1];
-    }
-    if (p2 >= 0) {
-      const auto i2 = static_cast<size_t>(p2);
-      const double f2 = wq2 * scratch.sz_[c][i2];
-      for (int t = 0; t < 4; ++t) {
-        a[4 + t] = f2 * scratch.sx[t][i2];
+void QspMopas(HwContext& hw, const DepositScratch& scratch, int64_t pid, bool fresh,
+              MpuTileReg tiles[4]) {
+  const auto i = static_cast<size_t>(pid);
+  Vec8 rows[2];  // lo, hi
+  for (int h = 0; h < 2; ++h) {
+    for (int half = 0; half < 2; ++half) {
+      const double sz = scratch.sz_[2 * h + half][i];
+      for (int b = 0; b < 4; ++b) {
+        rows[h][4 * half + b] = scratch.sy[b][i] * sz;
       }
     }
-    ChargeVpuOps(hw, 2);  // A_c assembly: broadcast-multiply + permute
-    hw.Mopa(tiles[c], a, b, p2 >= 0 ? 32 : 16);
+  }
+  Vec8 xy;
+  Vec8 z = Vec8::Zero();
+  for (int a = 0; a < 4; ++a) {
+    xy[a] = scratch.wqx[i] * scratch.sx[a][i];
+    xy[4 + a] = scratch.wqy[i] * scratch.sx[a][i];
+    z[a] = scratch.wqz[i] * scratch.sx[a][i];
+  }
+  ChargeVpuOps(hw, 9);  // operand assembly (deposit_mpu.h)
+  for (int t = kXyLo; t <= kZHi; ++t) {
+    IssueMopa(hw, fresh, tiles[t], rows[t % 2], t < kZLo ? xy : z,
+              t < kZLo ? 64 : 32);
   }
 }
 
-// Reads the four tiles of one component pass into per-particle-class node
-// arrays in the rhocell block layout k = a + 4*b + 16*c (x fastest, matching
-// ReduceRhocellToGrid). Tile row a carries sx_a, columns carry sy_b, so the
-// extraction transposes each 4x4 block (a register shuffle network).
-void QspReadTiles(HwContext& hw, const MpuTileReg tiles[4], double p1_nodes[64],
-                  double p2_nodes[64]) {
-  for (int c = 0; c < 4; ++c) {
-    for (int a = 0; a < 4; ++a) {
-      const Vec8 row1 = hw.TileReadRow(tiles[c], a);
-      const Vec8 row2 = hw.TileReadRow(tiles[c], 4 + a);
-      for (int bb = 0; bb < 4; ++bb) {
-        p1_nodes[a + 4 * bb + 16 * c] = row1[bb];
-        p2_nodes[a + 4 * bb + 16 * c] = row2[4 + bb];
+// Drains the four tiles into one cell's rhocell blocks (k = a + 4m). Rows
+// (2j, 2j+1) of an xy tile give 8-vector j of Jx (low halves) and of Jy (high
+// halves), those of a z tile 8-vector j of Jz: one two-source permute per
+// output vector, one add into the block.
+void QspDrain(HwContext& hw, const MpuTileReg tiles[4], RhocellBuffer& rhocell,
+              int cell) {
+  double* blocks[3] = {rhocell.CellJx(cell), rhocell.CellJy(cell),
+                       rhocell.CellJz(cell)};
+  for (int h = 0; h < 2; ++h) {
+    for (int r = 0; r < 8; r += 2) {
+      const Vec8 xy[2] = {hw.TileReadRow(tiles[kXyLo + h], r),
+                          hw.TileReadRow(tiles[kXyLo + h], r + 1)};
+      const Vec8 z[2] = {hw.TileReadRow(tiles[kZLo + h], r),
+                         hw.TileReadRow(tiles[kZLo + h], r + 1)};
+      ChargeVpuOps(hw, 3);  // one permute per component vector
+      const int base = 4 * (8 * h + r);
+      for (int comp = 0; comp < 3; ++comp) {
+        double* out = blocks[comp] + base;
+        hw.TouchRead(out, sizeof(double) * kVpuLanes);
+        ChargeVpuOps(hw, 1);  // vector add
+        for (int row = 0; row < 2; ++row) {
+          for (int a = 0; a < 4; ++a) {
+            out[4 * row + a] += comp == 2 ? z[row][a] : xy[row][4 * comp + a];
+          }
+        }
+        hw.TouchWrite(out, sizeof(double) * kVpuLanes);
       }
     }
-    ChargeVpuOps(hw, 8);  // 4x4 block transpose + repack shifts per tile
-  }
-}
-
-void QspAccumulateBlock(HwContext& hw, double* block, const double nodes[64]) {
-  for (int base = 0; base < 64; base += kVpuLanes) {
-    hw.TouchRead(block + base, sizeof(double) * kVpuLanes);
-    ChargeVpuOps(hw, 1);
-    for (int k = 0; k < kVpuLanes; ++k) {
-      block[base + k] += nodes[base + k];
-    }
-    hw.TouchWrite(block + base, sizeof(double) * kVpuLanes);
   }
 }
 
@@ -313,83 +298,42 @@ void DepositMpuQsp(HwContext& hw, const ParticleTile& tile,
                    MpuScheduling scheduling, int sparse_fallback_ppc) {
   PhaseScope phase(hw.ledger(), Phase::kCompute);
   MpuTileReg tiles[4];
-  for (auto& t : tiles) {
-    hw.TileZero(t);
-  }
-  const std::vector<double>* wq_streams[3] = {&scratch.wqx, &scratch.wqy,
-                                              &scratch.wqz};
+  int64_t batch[kVpuLanes];
 
   if (scheduling == MpuScheduling::kCellResident) {
+    // One pass per bin: all three components ride the four resident tiles.
     ForEachCellBin(hw, tile, [&](int cell, const int32_t* pids, int32_t len) {
       if (len < sparse_fallback_ppc) {
         DepositSparseBinVpu<3>(hw, scratch, rhocell, cell, pids, len);
         return;
       }
-      double* blocks[3] = {rhocell.CellJx(cell), rhocell.CellJy(cell),
-                           rhocell.CellJz(cell)};
-      // One pass per component keeps the live tile count at four (the z-terms),
-      // trading three passes over the bin for register-file residency.
-      for (int comp = 0; comp < 3; ++comp) {
-        int64_t batch[kVpuLanes];
-        for (int32_t s = 0; s < len; s += kVpuLanes) {
-          const int count = std::min<int32_t>(kVpuLanes, len - s);
-          for (int j = 0; j < count; ++j) {
-            batch[j] = pids[s + j];
-          }
-          GatherStagedBatch<3>(hw, scratch, batch, count);
-          for (int j = 0; j < count; j += 2) {
-            QspMopaPair(hw, scratch, batch[j], j + 1 < count ? batch[j + 1] : -1,
-                        *wq_streams[comp], tiles);
-          }
+      for (int32_t s = 0; s < len; s += kVpuLanes) {
+        const int count = std::min<int32_t>(kVpuLanes, len - s);
+        for (int j = 0; j < count; ++j) {
+          batch[j] = pids[s + j];
         }
-        double p1_nodes[64], p2_nodes[64];
-        QspReadTiles(hw, tiles, p1_nodes, p2_nodes);
-        ChargeVpuOps(hw, 8);  // merge adds (8 vectors)
-        double merged[64];
-        for (int k = 0; k < 64; ++k) {
-          merged[k] = p1_nodes[k] + p2_nodes[k];
-        }
-        QspAccumulateBlock(hw, blocks[comp], merged);
-        for (auto& t : tiles) {
-          hw.TileZero(t);
+        GatherStagedBatch<3>(hw, scratch, batch, count);
+        for (int j = 0; j < count; ++j) {
+          QspMopas(hw, scratch, batch[j], s + j == 0, tiles);
         }
       }
+      QspDrain(hw, tiles, rhocell, cell);
     });
     return;
   }
 
-  // Pairwise: per pair, per component, four MOPAs then immediate extraction.
-  int64_t batch[kVpuLanes];
+  // Pairwise: slot order; every particle's four tiles are drained into its
+  // own cell right after its MOPAs.
   int batch_fill = 0;
   auto flush = [&]() {
     if (batch_fill == 0) {
       return;
     }
     GatherStagedBatch<3>(hw, scratch, batch, batch_fill);
-    for (int j = 0; j < batch_fill; j += 2) {
-      const int64_t p1 = batch[j];
-      const int64_t p2 = j + 1 < batch_fill ? batch[j + 1] : -1;
-      const int cell1 = StagedCellOf<3>(tile, scratch, static_cast<size_t>(p1));
-      const int cell2 =
-          p2 >= 0 ? StagedCellOf<3>(tile, scratch, static_cast<size_t>(p2)) : -1;
-      for (int comp = 0; comp < 3; ++comp) {
-        QspMopaPair(hw, scratch, p1, p2, *wq_streams[comp], tiles);
-        double p1_nodes[64], p2_nodes[64];
-        QspReadTiles(hw, tiles, p1_nodes, p2_nodes);
-        double* block1 = comp == 0   ? rhocell.CellJx(cell1)
-                         : comp == 1 ? rhocell.CellJy(cell1)
-                                     : rhocell.CellJz(cell1);
-        QspAccumulateBlock(hw, block1, p1_nodes);
-        if (p2 >= 0) {
-          double* block2 = comp == 0   ? rhocell.CellJx(cell2)
-                           : comp == 1 ? rhocell.CellJy(cell2)
-                                       : rhocell.CellJz(cell2);
-          QspAccumulateBlock(hw, block2, p2_nodes);
-        }
-        for (auto& t : tiles) {
-          hw.TileZero(t);
-        }
-      }
+    for (int j = 0; j < batch_fill; ++j) {
+      QspMopas(hw, scratch, batch[j], /*fresh=*/true, tiles);
+      QspDrain(hw, tiles, rhocell,
+               StagedCellOf<3>(tile, scratch, static_cast<size_t>(batch[j])));
     }
     batch_fill = 0;
   };

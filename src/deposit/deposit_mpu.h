@@ -1,27 +1,50 @@
 // MatrixPIC MPU deposition kernels (paper Sec. 4.2): current deposition
 // reformulated as vector outer products on the 8x8 FP64 MPU tile.
 //
-// Order 1 (CIC), two particles per MOPA (Sec. 4.2.1):
-//   A = [wq*sx0, wq*sx1 (p1) | wq*sx0, wq*sx1 (p2) | 0,0,0,0]   (4x8 logical)
-//   B = [sy0*sz0, sy1*sz0, sy0*sz1, sy1*sz1 (p1) | ... (p2)]
-//   C += A (x) B; p1's 8 nodes live in rows 0-1 x cols 0-3, p2's in rows 2-3 x
-//   cols 4-7; cross blocks are never read. 16 of 64 tile slots carry valid
-//   work (25% utilization — the paper's CIC figure).
+// Component packing. Direct deposition gives Jx, Jy and Jz the same
+// node-aligned shapes, so all three components share one outer product:
+// the tile rows carry the particle's yz node weights Sy(b)·Sz(c), the tile
+// columns carry wq_comp·Sx(a) for two components side by side. Node (a, m)
+// of a cell's rhocell block is k = a + (Order+1)·m, m the yz node index.
+// The paper's pair layout (two particles per MOPA, one component per tile)
+// fills 25% of a CIC tile and 50% of a QSP tile.
 //
-// Order 3 (QSP), two particles per MOPA, one MOPA per z-shape term:
-//   A_c = [wq*sz_c*sx0..3 (p1) | wq*sz_c*sx0..3 (p2)]
-//   B   = [sy0..3 (p1) | sy0..3 (p2)]
-//   T_c += A_c (x) B for c = 0..3; p1's 4x4 block in rows 0-3 x cols 0-3, p2's
-//   in rows 4-7 x cols 4-7 (32 of 64 slots = 50% utilization). The z-term
-//   scaling rides in A (VPU-prepared), matching the paper's hybrid split where
-//   VPUs stage operands and the MPU performs the dense accumulation.
+// Order 3 (QSP), one particle per MOPA group, four MOPAs per particle:
+//   rows  lo = [sy0..3·sz0 | sy0..3·sz1]   (m = b + 4c = 0..7)
+//         hi = [sy0..3·sz2 | sy0..3·sz3]   (m = 8..15)
+//   cols  xy = [wqx·sx0..3 | wqy·sx0..3],  z = [wqz·sx0..3 | 0]
+//   T_xy_lo += lo ⊗ xy, T_xy_hi += hi ⊗ xy, T_z_lo += lo ⊗ z, T_z_hi += hi ⊗ z
+//   64 + 64 + 32 + 32 = 192 of 256 slots valid: 75% occupancy.
+//   Tile row m holds [Jx | Jy] at k = 4m..4m+3, so rows (2j, 2j+1) form the
+//   contiguous rhocell 8-vector j of each component.
+//
+// Order 1 (CIC), two particles p, q per MOPA pair, two MOPAs per pair:
+//   rows  [syz_p | syz_q],  syz = [sy0·sz0, sy1·sz0, sy0·sz1, sy1·sz1]
+//   cols  xy = [wqx·sx0, wqx·sx1, wqy·sx0, wqy·sx1 (p) | (q)]
+//         z  = [wqz·sx0, wqz·sx1 (p) | (q) | 0, 0, 0, 0]
+//   p's nodes live in rows 0-3, q's in rows 4-7; cross blocks are never read.
+//   32 + 16 = 48 of 128 slots valid: 37.5% occupancy, 24 slots per particle.
+//
+// VPU cost, one op per permute, broadcast, multiply or add:
+//   QSP per particle: 9 (rows: sy duplicate, two sz-pair broadcasts, two
+//     multiplies; cols: sx duplicate, wqx|wqy broadcast, two multiplies).
+//   QSP per cell drain: 24 two-row permutes (8 per component) reading 32
+//     tile rows, plus one add per rhocell 8-vector (24).
+//   CIC per pair: 5 (rows: two permutes and a multiply; each column operand
+//     one multiply on the pre-permuted batch registers).
+//   CIC drain per particle class: 7 (Jx/Jy: two row-pair permutes and two
+//     splitting permutes; Jz: two row-pair permutes and one join). A
+//     cell-resident drain adds both classes before the output permutes,
+//     15 ops in all, plus one add per component into the rhocell block.
 //
 // Scheduling:
 //   kCellResident — requires cell-sorted particles; accumulator tiles stay
-//     resident across all particles of a cell and are extracted to the rhocell
-//     once per cell (the register-reuse the incremental sorter exists for).
-//   kPairwise     — no sorting assumption; tiles are zeroed and extracted per
-//     particle pair (models Hybrid-noSort's VPU<->MPU traffic).
+//     resident across all particles of a cell (one pass per bin; the first
+//     MOPA group of a bin is a MopaZero) and are drained to the rhocell once
+//     per cell (the register-reuse the incremental sorter exists for).
+//   kPairwise     — no sorting assumption; tiles are drained after every
+//     MOPA group (a QSP particle, a CIC pair of the slot-order batch) into
+//     each particle's own cell (models Hybrid-noSort's VPU<->MPU traffic).
 
 #ifndef MPIC_SRC_DEPOSIT_DEPOSIT_MPU_H_
 #define MPIC_SRC_DEPOSIT_DEPOSIT_MPU_H_

@@ -40,11 +40,12 @@
 //     order 2:  2*(3*3)/64 = 28%  narrow pair,   2*(4*4)/64 = 50% wide pair
 //     order 3:  2*(4*4)/64 = 50%  narrow pair,     (5*5)/64 = 39% wide single
 //
-// against the direct kernels' 25% (CIC) and 50% (QSP) pair figures
-// (deposit_mpu.h). Narrowness also trims the transverse extraction loops (rows
-// read and runs issued); the longitudinal run is always Order + 1 lanes, since
-// the floating-point prefix at the last support lane is small but not exactly
-// zero and the scalar reference includes it.
+// against the direct kernels' component-packed 37.5% (CIC) and 75% (QSP)
+// (deposit_mpu.h): the three direct components share one set of node shapes,
+// the three Esirkepov components do not. Narrowness also trims the transverse
+// extraction loops (rows read and runs issued); the longitudinal run is always
+// Order + 1 lanes, since the floating-point prefix at the last support lane is
+// small but not exactly zero and the scalar reference includes it.
 //
 // Extraction cost is further amortized across a batch: all-narrow particles
 // sharing the batch's reference window base (in cell-resident bins that is

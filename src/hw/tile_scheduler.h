@@ -93,14 +93,11 @@ inline constexpr double kCostBucketRatio = 1.25;
 // the global least-loaded worker — and the steal simulation charges the
 // distance-dependent premium above, tagging cross-domain tasks
 // TileTask::remote. All tie-breaks are by lowest worker id, so the schedule
-// stays a pure function of (estimates, prev_owner, parameters). The
-// placement-free overload is byte-identical to the PR 8 schedule.
-TileScheduleResult BuildTileSchedule(int n, int num_workers,
-                                     const double* estimates,
-                                     double steal_cost);
+// stays a pure function of (estimates, prev_owner, parameters). The default
+// placement gives the flat-memory, owner-oblivious schedule.
 TileScheduleResult BuildTileSchedule(int n, int num_workers,
                                      const double* estimates, double steal_cost,
-                                     const TileSchedulePlacement& placement);
+                                     const TileSchedulePlacement& placement = {});
 
 }  // namespace mpic
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <tuple>
 
@@ -293,40 +294,106 @@ INSTANTIATE_TEST_SUITE_P(Sweep, MpuEquivalence,
                                             ::testing::Values(0, 1),
                                             ::testing::Values(1, 2, 5, 16)));
 
-TEST(DepositMpu, CicTileUtilizationIs25Percent) {
-  // 2 particles x 8 nodes = 16 useful FMAs out of the 64 an 8x8 MOPA performs.
-  TestWorld world(2, 8, 808);
-  HwContext hw;
-  DepositScratch scratch;
-  RhocellBuffer rhocell(world.tile.num_cells(), 1);
-  StageTileVpu<1>(hw, world.tile, world.params, scratch);
-  DepositMpu<1>(hw, world.tile, world.params, scratch, rhocell,
-                MpuScheduling::kCellResident);
-  const auto n = world.tile.num_live();
-  const auto pairs = hw.ledger().counters().mopas / 3;  // 3 components
-  // ceil(n_cell_particles/2) pairs summed over cells; at least n/2.
-  EXPECT_GE(static_cast<int64_t>(pairs), n / 2);
-  const double useful = static_cast<double>(n) * 8.0;
-  const double slots = static_cast<double>(pairs) * 64.0;
-  EXPECT_NEAR(useful / slots, 0.25, 0.07);
+// Exact MOPA and valid-slot counts of the component-packed layout
+// (deposit_mpu.h), in both schedulings.
+const MpuScheduling kSchedulings[] = {MpuScheduling::kCellResident,
+                                      MpuScheduling::kPairwise};
+
+TEST(DepositMpu, QspPacksFourMopasAnd192SlotsPerParticle) {
+  TestWorld world(2, 8, 809);
+  for (MpuScheduling scheduling : kSchedulings) {
+    SCOPED_TRACE(scheduling == MpuScheduling::kCellResident ? "cell-resident"
+                                                            : "pairwise");
+    HwContext hw;
+    DepositScratch scratch;
+    RhocellBuffer rhocell(world.tile.num_cells(), 3);
+    StageTileVpu<3>(hw, world.tile, world.params, scratch);
+    const LedgerCounters before = hw.ledger().counters();
+    DepositMpu<3>(hw, world.tile, world.params, scratch, rhocell, scheduling);
+    const auto n = static_cast<uint64_t>(world.tile.num_live());
+    EXPECT_EQ(hw.ledger().counters().mopas - before.mopas, 4 * n);
+    EXPECT_EQ(hw.ledger().counters().mopa_valid_slots - before.mopa_valid_slots,
+              192 * n);
+  }
 }
 
-TEST(DepositMpu, QspTileUtilizationIs50Percent) {
-  TestWorld world(2, 8, 809);
+TEST(DepositMpu, CicPacksTwoMopasPerPairAnd24SlotsPerParticle) {
+  TestWorld world(2, 8, 808);
+  const auto n = static_cast<uint64_t>(world.tile.num_live());
+  // Cell-resident pairs particles within a GPMA bin, pairwise within each
+  // slot-order batch of kVpuLanes live particles.
+  uint64_t bin_pairs = 0;
+  bool odd_bin = false;
+  const Gpma& gpma = world.tile.gpma();
+  for (int cell = 0; cell < gpma.num_cells(); ++cell) {
+    const auto len = static_cast<uint64_t>(gpma.BinLen(cell));
+    bin_pairs += (len + 1) / 2;
+    odd_bin = odd_bin || len % 2 == 1;
+  }
+  ASSERT_TRUE(odd_bin);  // the singleton-pair path is exercised
+  const uint64_t tail = n % kVpuLanes;
+  const uint64_t batch_pairs = n / kVpuLanes * (kVpuLanes / 2) + (tail + 1) / 2;
+  for (MpuScheduling scheduling : kSchedulings) {
+    const bool resident = scheduling == MpuScheduling::kCellResident;
+    SCOPED_TRACE(resident ? "cell-resident" : "pairwise");
+    HwContext hw;
+    DepositScratch scratch;
+    RhocellBuffer rhocell(world.tile.num_cells(), 1);
+    StageTileVpu<1>(hw, world.tile, world.params, scratch);
+    const LedgerCounters before = hw.ledger().counters();
+    DepositMpu<1>(hw, world.tile, world.params, scratch, rhocell, scheduling);
+    EXPECT_EQ(hw.ledger().counters().mopas - before.mopas,
+              2 * (resident ? bin_pairs : batch_pairs));
+    EXPECT_EQ(hw.ledger().counters().mopa_valid_slots - before.mopa_valid_slots,
+              24 * n);
+  }
+}
+
+// The MPU drain writes the rhocell layout k = a + (Order+1)·m directly: every
+// cell block matches the VPU rhocell kernel's before any reduction.
+template <int Order>
+void ExpectRhocellBlocksMatchVpu(MpuScheduling scheduling, int ppc) {
+  TestWorld world(4, ppc, 5150 + ppc);
   HwContext hw;
   DepositScratch scratch;
-  RhocellBuffer rhocell(world.tile.num_cells(), 3);
-  StageTileVpu<3>(hw, world.tile, world.params, scratch);
-  DepositMpu<3>(hw, world.tile, world.params, scratch, rhocell,
-                MpuScheduling::kCellResident);
-  const auto n = world.tile.num_live();
-  const auto mopas = hw.ledger().counters().mopas;
-  // Per pair per component: 4 MOPAs; each pair contributes 2 x 64 useful FMAs
-  // per component.
-  const double useful = static_cast<double>(n) * 64.0 * 3.0;
-  const double slots = static_cast<double>(mopas) * 64.0;
-  EXPECT_NEAR(useful / slots, 0.5, 0.13);
+  StageTileVpu<Order>(hw, world.tile, world.params, scratch);
+  RhocellBuffer vpu(world.tile.num_cells(), Order);
+  DepositRhocellVpu<Order>(hw, world.tile, world.params, scratch, vpu, true);
+  RhocellBuffer mpu(world.tile.num_cells(), Order);
+  DepositMpu<Order>(hw, world.tile, world.params, scratch, mpu, scheduling);
+  const size_t stride = static_cast<size_t>(vpu.stride());
+  int nonzero_blocks = 0;
+  for (int cell = 0; cell < vpu.num_cells(); ++cell) {
+    const double* want[3] = {vpu.CellJx(cell), vpu.CellJy(cell), vpu.CellJz(cell)};
+    const double* got[3] = {mpu.CellJx(cell), mpu.CellJy(cell), mpu.CellJz(cell)};
+    for (int comp = 0; comp < 3; ++comp) {
+      const std::vector<double> w(want[comp], want[comp] + stride);
+      const std::vector<double> g(got[comp], got[comp] + stride);
+      nonzero_blocks +=
+          std::any_of(w.begin(), w.end(), [](double v) { return v != 0.0; });
+      EXPECT_LE(RelMaxError(w, g), 1e-13) << "cell " << cell << " comp " << comp;
+    }
+  }
+  EXPECT_GT(nonzero_blocks, 0);
 }
+
+class MpuRhocellBlocks
+    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+
+TEST_P(MpuRhocellBlocks, MatchVpuRhocellBeforeReduce) {
+  const auto [order, sched, ppc] = GetParam();
+  const MpuScheduling scheduling = kSchedulings[sched];
+  if (order == 1) {
+    ExpectRhocellBlocksMatchVpu<1>(scheduling, ppc);
+  } else {
+    ExpectRhocellBlocksMatchVpu<3>(scheduling, ppc);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, MpuRhocellBlocks,
+                         ::testing::Combine(::testing::Values(1, 3),
+                                            ::testing::Values(0, 1),
+                                            ::testing::Values(1, 2, 5, 16)));
 
 TEST(Rhocell, BufferLayout) {
   RhocellBuffer rc(10, 3);

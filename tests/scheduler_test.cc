@@ -217,8 +217,8 @@ TEST(NumaDomain, ContiguousSplitLikeRankOfTile) {
 }
 
 TEST(TileScheduler, PlacementFreeOverloadMatchesDefaultPlacement) {
-  // The 4-arg overload must stay byte-identical to the 5-arg call with a
-  // default placement (no previous owners, flat domains): the PR 8 schedule.
+  // Omitting the placement must stay byte-identical to passing a default one
+  // (no previous owners, flat domains): the owner-oblivious schedule.
   std::vector<double> cost(48);
   for (int i = 0; i < 48; ++i) {
     cost[static_cast<size_t>(i)] = 100.0 + 37.0 * ((i * 13) % 29);
