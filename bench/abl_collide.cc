@@ -2,12 +2,12 @@
 // collisional-relaxation workload, with and without collisions, at 1 and 4
 // modeled cores (see src/collide/collision.h).
 //
-// Per (cores, schedule, collisions) it prints modeled cycles per step with
-// the collide-phase share and FNV digests of the fields and of the particle
+// Per (cores, collisions) it prints modeled cycles per step with the
+// collide-phase share and FNV digests of the fields and of the particle
 // state. Invariants enforced (non-zero exit on violation):
-//   1. digests are bit-identical across core/thread counts and across the
-//      fused/legacy orchestrations — the per-cell counter-based RNG streams
-//      make the collision stage schedule-independent;
+//   1. digests are bit-identical across core/thread counts — the per-cell
+//      counter-based RNG streams make the collision stage
+//      schedule-independent;
 //   2. Phase::kCollide is charged when collisions run and is exactly zero
 //      when they are disabled (and collisions actually change the physics:
 //      the on/off particle digests differ);
@@ -61,13 +61,12 @@ struct CollidePoint {
   uint64_t particles_digest = 0;
 };
 
-CollidePoint RunPoint(int cores, bool fused, bool collisions, int steps) {
+CollidePoint RunPoint(int cores, bool collisions, int steps) {
 #ifdef _OPENMP
   omp_set_num_threads(cores);
 #endif
   CollisionalRelaxationParams p;
   p.coulomb_log = 300.0;
-  p.fuse_stages = fused;
   p.collisions_enabled = collisions;
   HwContext hw(MachineConfig::Lx2MultiCore(cores));
   auto sim = MakeCollisionalRelaxationSimulation(hw, p);
@@ -95,36 +94,32 @@ bool Run(int steps) {
 
   struct Row {
     int cores;
-    bool fused;
     bool collisions;
     CollidePoint pt;
   };
   std::vector<Row> rows;
-  ConsoleTable t({"Cores", "Schedule", "Collisions", "Cycles/step", "Collide/step",
+  ConsoleTable t({"Cores", "Collisions", "Cycles/step", "Collide/step",
                   "Collide %", "Fields digest", "Particles digest"});
   bool ok = true;
   for (int cores : {1, 4}) {
-    for (bool fused : {true, false}) {
-      for (bool collisions : {true, false}) {
-        const CollidePoint r = RunPoint(cores, fused, collisions, steps);
-        rows.push_back({cores, fused, collisions, r});
-        ok = ok && r.phases_sum;
-        char fd[32], pd[32];
-        std::snprintf(fd, sizeof(fd), "%016llx",
-                      static_cast<unsigned long long>(r.fields_digest));
-        std::snprintf(pd, sizeof(pd), "%016llx",
-                      static_cast<unsigned long long>(r.particles_digest));
-        t.AddRow({std::to_string(cores), fused ? "fused" : "legacy",
-                  collisions ? "on" : "off", FormatSci(r.total / steps, 3),
-                  FormatSci(r.collide / steps, 2),
-                  FormatSci(100.0 * r.collide / r.total, 2), fd, pd});
-      }
+    for (bool collisions : {true, false}) {
+      const CollidePoint r = RunPoint(cores, collisions, steps);
+      rows.push_back({cores, collisions, r});
+      ok = ok && r.phases_sum;
+      char fd[32], pd[32];
+      std::snprintf(fd, sizeof(fd), "%016llx",
+                    static_cast<unsigned long long>(r.fields_digest));
+      std::snprintf(pd, sizeof(pd), "%016llx",
+                    static_cast<unsigned long long>(r.particles_digest));
+      t.AddRow({std::to_string(cores), collisions ? "on" : "off",
+                FormatSci(r.total / steps, 3), FormatSci(r.collide / steps, 2),
+                FormatSci(100.0 * r.collide / r.total, 2), fd, pd});
     }
   }
   t.Print("Collision ablation: Takizuka-Abe stage on the relaxation workload");
 
-  // Invariant 1: per (collisions on/off), every (cores, schedule) run must
-  // produce the same physics, bitwise.
+  // Invariant 1: per (collisions on/off), every core count must produce the
+  // same physics, bitwise.
   auto reference = [&rows](bool collisions) -> const Row& {
     for (const Row& row : rows) {
       if (row.collisions == collisions) {
@@ -137,9 +132,8 @@ bool Run(int steps) {
     const Row& ref = reference(row.collisions);
     if (row.pt.fields_digest != ref.pt.fields_digest ||
         row.pt.particles_digest != ref.pt.particles_digest) {
-      std::printf("DIGEST MISMATCH (BUG!): cores=%d %s collisions=%s\n",
-                  row.cores, row.fused ? "fused" : "legacy",
-                  row.collisions ? "on" : "off");
+      std::printf("DIGEST MISMATCH (BUG!): cores=%d collisions=%s\n",
+                  row.cores, row.collisions ? "on" : "off");
       ok = false;
     }
   }
@@ -161,7 +155,7 @@ bool Run(int steps) {
     ok = false;
   }
 
-  std::printf("\nInvariants %s: identical digests across cores/schedules, "
+  std::printf("\nInvariants %s: identical digests across cores, "
               "collide phase charged iff enabled, phases sum to totals.\n",
               ok ? "HOLD" : "VIOLATED");
   return ok;

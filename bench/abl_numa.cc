@@ -9,8 +9,8 @@
 // Gates (non-zero exit on any failure):
 //   * Physics digests bit-identical across placement arms and domain counts
 //     on every headline workload, and across the full determinism matrix —
-//     domains {1,2,4} x cores {1,2,4} x {static, cost-steal} x
-//     {fused, legacy} — on a reduced bunched beam.
+//     domains {1,2,4} x cores {1,2,4} x {static, cost-steal} — on a
+//     reduced bunched beam.
 //   * Modeled cycles AND digests bit-identical between OpenMP thread counts
 //     1 and 4 for every matrix configuration (in-process rerun): the NUMA
 //     charges are part of the model, so they must stay a pure function of
@@ -128,13 +128,12 @@ LwfaWorkloadParams LwfaParams() {
   return p;
 }
 
-// Reduced bunched beam for the determinism matrix (72 short runs).
-BunchedBeamParams SmallBunchedParams(bool fused) {
+// Reduced bunched beam for the determinism matrix (36 short runs).
+BunchedBeamParams SmallBunchedParams() {
   BunchedBeamParams p;
   p.nx = p.ny = p.nz = 8;
   p.tile = 4;
   p.ppc_x = p.ppc_y = p.ppc_z = 2;
-  p.fuse_stages = fused;
   return p;
 }
 
@@ -254,36 +253,34 @@ bool Run(int warmup, int steps) {
   bool omp_identical = true;
   uint64_t matrix_ref = 0;
   bool have_matrix_ref = false;
-  for (const bool fused : {true, false}) {
-    const MakeSim make = [fused](HwContext& hw) {
-      return MakeBunchedBeamSimulation(hw, SmallBunchedParams(fused));
-    };
-    for (const TileSchedulePolicy policy :
-         {TileSchedulePolicy::kStatic, TileSchedulePolicy::kCostSteal}) {
-      for (const int domains : {1, 2, 4}) {
-        for (const int cores : {1, 2, 4}) {
-          PointConfig pc;
-          pc.cores = cores;
-          pc.domains = domains;
-          pc.policy = policy;
-          pc.threads = 4;
-          const NumaPoint r4 = RunPoint(pc, /*warmup=*/1, /*steps=*/3, make);
-          pc.threads = 1;
-          const NumaPoint r1 = RunPoint(pc, /*warmup=*/1, /*steps=*/3, make);
-          if (!have_matrix_ref) {
-            matrix_ref = r4.digest;
-            have_matrix_ref = true;
-          }
-          matrix_digests_ok = matrix_digests_ok && r4.digest == matrix_ref &&
-                              r1.digest == matrix_ref;
-          omp_identical = omp_identical && r1.cycles == r4.cycles &&
-                          r1.digest == r4.digest;
+  const MakeSim make = [](HwContext& hw) {
+    return MakeBunchedBeamSimulation(hw, SmallBunchedParams());
+  };
+  for (const TileSchedulePolicy policy :
+       {TileSchedulePolicy::kStatic, TileSchedulePolicy::kCostSteal}) {
+    for (const int domains : {1, 2, 4}) {
+      for (const int cores : {1, 2, 4}) {
+        PointConfig pc;
+        pc.cores = cores;
+        pc.domains = domains;
+        pc.policy = policy;
+        pc.threads = 4;
+        const NumaPoint r4 = RunPoint(pc, /*warmup=*/1, /*steps=*/3, make);
+        pc.threads = 1;
+        const NumaPoint r1 = RunPoint(pc, /*warmup=*/1, /*steps=*/3, make);
+        if (!have_matrix_ref) {
+          matrix_ref = r4.digest;
+          have_matrix_ref = true;
         }
+        matrix_digests_ok = matrix_digests_ok && r4.digest == matrix_ref &&
+                            r1.digest == matrix_ref;
+        omp_identical = omp_identical && r1.cycles == r4.cycles &&
+                        r1.digest == r4.digest;
       }
     }
   }
   std::printf(
-      "\nDeterminism matrix (domains x cores x policy x fused/legacy): "
+      "\nDeterminism matrix (domains x cores x policy): "
       "digests %s, OMP 1-vs-4 cycles %s.\n",
       matrix_digests_ok ? "IDENTICAL" : "DIFFER (BUG!)",
       omp_identical ? "IDENTICAL" : "DIFFER (BUG!)");

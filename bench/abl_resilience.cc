@@ -7,9 +7,9 @@
 //      resilience layer off. Gates: modeled-cycle overhead <= 2% on the QSP
 //      (order 3, production shape order) configuration and bit-identical
 //      physics digests on both (sentinels observe, never perturb).
-//   2. Restore-digest matrix — save at step 3 under the fused 2-core
-//      schedule, restore into twins across {fused, legacy} x {1, 2, 4}
-//      modeled cores, for every DepositVariant under both CurrentSchemes.
+//   2. Restore-digest matrix — save at step 3 on 2 modeled cores, restore
+//      into twins on {1, 2, 4} modeled cores, for every DepositVariant under
+//      both CurrentSchemes.
 //      Gate: every twin finishes on the uninterrupted run's digest. The
 //      re-sort policy's throughput trigger is disabled here — it reads
 //      modeled cache history a checkpoint deliberately does not carry
@@ -120,7 +120,7 @@ bool RunOverheadGate() {
 }
 
 // ---------------------------------------------------------------------------
-// Section 2: restore-digest matrix across schedules, cores, variants, schemes.
+// Section 2: restore-digest matrix across cores, variants, schemes.
 
 constexpr DepositVariant kAllVariants[] = {
     DepositVariant::kScalar,           DepositVariant::kBaseline,
@@ -130,8 +130,7 @@ constexpr DepositVariant kAllVariants[] = {
     DepositVariant::kHybridGlobalSort, DepositVariant::kFullOpt,
 };
 
-UniformWorkloadParams MatrixParams(DepositVariant v, CurrentScheme s,
-                                   bool fused) {
+UniformWorkloadParams MatrixParams(DepositVariant v, CurrentScheme s) {
   UniformWorkloadParams p;
   p.nx = p.ny = p.nz = 8;
   p.ppc_x = p.ppc_y = p.ppc_z = 1;
@@ -139,11 +138,10 @@ UniformWorkloadParams MatrixParams(DepositVariant v, CurrentScheme s,
   p.u_th = 0.1;
   p.variant = v;
   p.scheme = s;
-  p.fuse_stages = fused;
   // The adaptive throughput trigger restores bit-exactly on the *same*
   // machine (checkpoint v2 carries its baselines; tests/checkpoint_test.cc
   // gates it). This matrix restores one image into *different* machines
-  // (cores 1/2/4, legacy schedule), where the trigger's modeled-throughput
+  // (cores 1/2/4), where the trigger's modeled-throughput
   // input legitimately differs — so the cross-machine digest gate needs the
   // physics-driven triggers only.
   ResortPolicyConfig pol;
@@ -154,15 +152,15 @@ UniformWorkloadParams MatrixParams(DepositVariant v, CurrentScheme s,
 
 bool RunRestoreMatrix() {
   const int save_at = 3, run_after = 3;
-  ConsoleTable t({"Variant", "Scheme", "fused/1", "fused/2", "fused/4",
-                  "legacy/1", "legacy/2", "legacy/4", "Digest"});
+  ConsoleTable t({"Variant", "Scheme", "cores 1", "cores 2", "cores 4",
+                  "Digest"});
   bool ok = true;
   int twins = 0, matched = 0;
   for (DepositVariant v : kAllVariants) {
     for (CurrentScheme s : {CurrentScheme::kDirect, CurrentScheme::kEsirkepov}) {
       SetThreads(2);
       HwContext ref_hw(MachineConfig::Lx2MultiCore(2));
-      auto ref = MakeUniformSimulation(ref_hw, MatrixParams(v, s, true));
+      auto ref = MakeUniformSimulation(ref_hw, MatrixParams(v, s));
       ref->Run(save_at);
       std::vector<uint8_t> ckpt;
       if (!SaveCheckpoint(*ref, &ckpt)) {
@@ -173,28 +171,26 @@ bool RunRestoreMatrix() {
       const uint64_t want = SimulationDigest(*ref);
 
       std::vector<std::string> row = {VariantName(v), CurrentSchemeName(s)};
-      for (bool fused : {true, false}) {
-        for (int cores : {1, 2, 4}) {
-          SetThreads(cores);
-          HwContext hw(MachineConfig::Lx2MultiCore(cores));
-          auto twin = MakeUniformSimulation(hw, MatrixParams(v, s, fused));
-          const CheckpointStatus st = RestoreCheckpoint(twin.get(), ckpt);
-          bool good = st.ok;
-          if (good) {
-            twin->Run(run_after);
-            good = SimulationDigest(*twin) == want;
-          }
-          row.push_back(good ? "ok" : "FAIL");
-          ok = ok && good;
-          ++twins;
-          matched += good ? 1 : 0;
+      for (int cores : {1, 2, 4}) {
+        SetThreads(cores);
+        HwContext hw(MachineConfig::Lx2MultiCore(cores));
+        auto twin = MakeUniformSimulation(hw, MatrixParams(v, s));
+        const CheckpointStatus st = RestoreCheckpoint(twin.get(), ckpt);
+        bool good = st.ok;
+        if (good) {
+          twin->Run(run_after);
+          good = SimulationDigest(*twin) == want;
         }
+        row.push_back(good ? "ok" : "FAIL");
+        ok = ok && good;
+        ++twins;
+        matched += good ? 1 : 0;
       }
       row.push_back(DigestHex(want));
       t.AddRow(std::move(row));
     }
   }
-  t.Print("Restore-digest matrix: save fused/2 @ step 3, run to step 6");
+  t.Print("Restore-digest matrix: save on 2 cores @ step 3, run to step 6");
   std::printf("Restore matrix gate: %d/%d twins bit-identical — %s\n\n",
               matched, twins, ok ? "HOLD" : "VIOLATED");
   return ok;

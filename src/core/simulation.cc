@@ -13,7 +13,7 @@ Simulation::Simulation(HwContext& hw, const SimulationConfig& config)
       config_(config),
       fields_(config.geom, config.guard_cells),
       solver_(config.solver, config.geom),
-      pipeline_(hw, config.fuse_stages) {
+      pipeline_(hw) {
   MPIC_CHECK(config.guard_cells >= 2);
   MPIC_CHECK_MSG(!config.species.empty(), "at least one species required");
   for (const SpeciesConfig& sc : config.species) {

@@ -1,7 +1,6 @@
 #include "src/core/step_pipeline.h"
 
 #include <algorithm>
-#include <functional>
 
 #include "src/common/check.h"
 #include "src/core/rank_comm.h"
@@ -76,8 +75,7 @@ std::vector<int> TileHomeDomains(const HwContext& hw,
 }
 
 // Whether the species' gather may batch by GPMA cell bins on the MPU (see
-// GatherFieldsTileFor). Both orchestrations ask this, so fused and legacy
-// gather identically.
+// GatherFieldsTileFor).
 bool GatherByCellBins(const SpeciesBlock& block) {
   const VariantTraits& traits = block.engine.traits();
   return traits.uses_mpu && traits.sorted_iteration;
@@ -85,12 +83,12 @@ bool GatherByCellBins(const SpeciesBlock& block) {
 
 }  // namespace
 
-// ---- Shared per-tile stages -------------------------------------------------
+// ---- Per-tile stages --------------------------------------------------------
 
 void StepPipeline::ZeroCurrentsStage(FieldSet& fields) {
   const double bytes = static_cast<double>(fields.jx.size()) * 8.0 * 3.0;
-  if (!fuse_stages_ || !ParallelEnabled(hw_)) {
-    // Legacy: one serial streaming-store block.
+  if (!ParallelEnabled(hw_)) {
+    // One core: a single serial streaming-store block.
     PhaseScope phase(hw_.ledger(), Phase::kOther);
     fields.ZeroCurrents();
     hw_.ChargeBulk(0.0, bytes);
@@ -372,8 +370,8 @@ void StepPipeline::DepositTiles(const StepPipelineInputs& in,
 
   // Rhocell -> J reduction on the halo-disjoint colored schedule: tiles of
   // one class write disjoint node sets and fan out; the classes run as
-  // sequential barriers, in the same class order the legacy serial sweep
-  // uses, so shared halo nodes accumulate identically either way. The cost
+  // sequential barriers in class order, so shared halo nodes accumulate
+  // identically whether a class fans out or runs inline. The cost
   // feedback is tile-indexed across all classes: each class gathers its
   // tiles' estimates into a positional list for the scheduler and scatters
   // the positional measurements back by tile id.
@@ -451,106 +449,6 @@ void StepPipeline::DepositTiles(const StepPipelineInputs& in,
   }
 }
 
-// ---- Legacy sweep-per-stage schedule ----------------------------------------
-
-void StepPipeline::LegacyGatherAndPush(const StepPipelineInputs& in,
-                                       SpeciesBlock& block, int sid,
-                                       const FieldSet& fields) {
-  switch (block.engine.config().order) {
-    case 1:
-      LegacyGatherAndPushImpl<1>(in, block, sid, fields);
-      break;
-    case 2:
-      LegacyGatherAndPushImpl<2>(in, block, sid, fields);
-      break;
-    case 3:
-      LegacyGatherAndPushImpl<3>(in, block, sid, fields);
-      break;
-    default:
-      MPIC_CHECK_MSG(false, "unsupported shape order");
-  }
-}
-
-template <int Order>
-void StepPipeline::LegacyGatherAndPushImpl(const StepPipelineInputs& in,
-                                           SpeciesBlock& block, int sid,
-                                           const FieldSet& fields) {
-  PushParams pp;
-  pp.dt = in.dt;
-  pp.charge = block.species.charge;
-  pp.mass = block.species.mass;
-  HealthMonitor* monitor = in.health;
-  const bool guards_on = monitor != nullptr && monitor->config().check_particles;
-  const GridGeometry& g = block.tiles.geom();
-  const double min_d = std::min(g.dx, std::min(g.dy, g.dz));
-  const double pre_margin = 0.5 * min_d;
-  const double post_margin = kSpeedOfLight * in.dt + 0.5 * min_d;
-  // Gather and push read the shared fields and write only the tile's SoA and
-  // scratch, so tiles fan out over the modeled cores. The guards sit at the
-  // same per-tile sites as in the fused schedule.
-  std::vector<PaddedSlot<Pass1Partial>> partials(
-      static_cast<size_t>(WorkerSlotCount(hw_)));
-  ParallelForTiles(hw_, block.tiles.num_tiles(),
-                   [&](HwContext& hw, int worker, int t) {
-                     ParticleTile& tile = block.tiles.tile(t);
-                     Pass1Partial& part =
-                         partials[static_cast<size_t>(worker)].value;
-                     if (guards_on &&
-                         !monitor->GuardTileFull(hw, tile, g, pre_margin,
-                                                 block.species.mass, sid, t,
-                                                 &part.health)) {
-                       return;
-                     }
-                     if (tile.num_live() == 0) {
-                       return;
-                     }
-                     if (block.engine.esirkepov()) {
-                       CaptureOldPositionsTile(hw, tile);
-                     }
-                     GatherScratch& gs =
-                         block.gather_scratch[static_cast<size_t>(t)];
-                     GatherFieldsTileFor<Order>(hw, tile, fields, gs,
-                                                GatherByCellBins(block));
-                     PushTileBoris(hw, tile, gs, pp);
-                     part.pushed += tile.num_live();
-                     if (guards_on) {
-                       monitor->GuardTilePositions(hw, tile, g, post_margin,
-                                                   sid, t, &part.health);
-                     }
-                   });
-  block.pushed_last_step = 0;
-  for (const PaddedSlot<Pass1Partial>& p : partials) {
-    block.pushed_last_step += p.value.pushed;
-    if (monitor != nullptr) {
-      monitor->AccumulateTilePartial(p.value.health);
-    }
-  }
-  block.particles_pushed += block.pushed_last_step;
-}
-
-void StepPipeline::LegacyBoundaries(const StepPipelineInputs& in,
-                                    SpeciesBlock& block, int sid,
-                                    int64_t* dropped) {
-  // Wrapping rewrites the tile's own positions and a window drop only touches
-  // the tile's own GPMA and slot stack, so tiles fan out over the cores.
-  // Tiles quarantined by this step's gather/push guards are skipped — the
-  // wrap would launder their out-of-bounds evidence and CellX of a
-  // non-finite position is undefined.
-  const HealthMonitor* monitor = in.health;
-  std::vector<PaddedSlot<int64_t>> drops(static_cast<size_t>(WorkerSlotCount(hw_)));
-  ParallelForTiles(hw_, block.tiles.num_tiles(),
-                   [&](HwContext& hw, int worker, int t) {
-                     if (monitor != nullptr && monitor->IsQuarantined(sid, t)) {
-                       return;
-                     }
-                     BoundaryTile(hw, block, in.drop_behind_window, t,
-                                  &drops[static_cast<size_t>(worker)].value);
-                   });
-  for (const PaddedSlot<int64_t>& d : drops) {
-    *dropped += d.value;
-  }
-}
-
 // ---- Step orchestration -----------------------------------------------------
 
 void StepPipeline::RunParticleStages(const StepPipelineInputs& in,
@@ -573,68 +471,34 @@ void StepPipeline::RunParticleStages(const StepPipelineInputs& in,
   const bool shared_fold = blocks.size() > 1;
   stats->species.clear();
 
-  if (fuse_stages_) {
-    for (size_t sidx = 0; sidx < blocks.size(); ++sidx) {
-      SpeciesBlock* b = blocks[sidx].get();
-      const int sid = static_cast<int>(sidx);
-      SpeciesStepStats ss;
-      ss.name = b->species.name;
-      PrepareTileRegions(*b);
-      b->engine.BeginStep(b->tiles, in.dt);
-      const double dep_before = hw_.ledger().DepositionCycles();
-      FusedPass1(in, *b, sid, fields, &ss);
-      // Fault hook: a lost migration buffer vanishes here, after the scan
-      // staged the movers and before the delivery barrier. Deliberately NOT
-      // counted into ss.dropped — the loss is silent, which is exactly what
-      // the census sentinel exists to catch.
-      if (in.injector != nullptr) {
-        in.injector->OnMoversStaged(*b, sid, in.step);
-      }
-      b->engine.DeliverMovers(b->tiles, &ss.engine);
-      b->engine.PostScanGlobalSort(b->tiles, fields, &ss.engine);
-      DepositTiles(in, *b, sid, fields);
-      if (!shared_fold) {
-        DepositionEngine::FoldCurrentGuards(hw_, fields);
-      }
-      // The policy's throughput trigger sees this species' deposition-phase
-      // cycles (Preproc+Compute+Sort+Reduce) — the fused analogue of the
-      // legacy DepositStep's own cycle window.
-      b->engine.FinishStep(b->tiles, fields,
-                           hw_.ledger().DepositionCycles() - dep_before,
-                           &ss.engine);
-      stats->species.push_back(std::move(ss));
+  for (size_t sidx = 0; sidx < blocks.size(); ++sidx) {
+    SpeciesBlock* b = blocks[sidx].get();
+    const int sid = static_cast<int>(sidx);
+    SpeciesStepStats ss;
+    ss.name = b->species.name;
+    PrepareTileRegions(*b);
+    b->engine.BeginStep(b->tiles, in.dt);
+    const double dep_before = hw_.ledger().DepositionCycles();
+    FusedPass1(in, *b, sid, fields, &ss);
+    // Fault hook: a lost migration buffer vanishes here, after the scan
+    // staged the movers and before the delivery barrier. Deliberately NOT
+    // counted into ss.dropped — the loss is silent, which is exactly what
+    // the census sentinel exists to catch.
+    if (in.injector != nullptr) {
+      in.injector->OnMoversStaged(*b, sid, in.step);
     }
-  } else {
-    // Each block runs at its own engine's shape order: a species with an
-    // EngineConfig override gathers, pushes, and deposits consistently with it.
-    std::vector<int64_t> dropped(blocks.size(), 0);
-    for (size_t sidx = 0; sidx < blocks.size(); ++sidx) {
-      PrepareTileRegions(*blocks[sidx]);
-      LegacyGatherAndPush(in, *blocks[sidx], static_cast<int>(sidx), fields);
+    b->engine.DeliverMovers(b->tiles, &ss.engine);
+    b->engine.PostScanGlobalSort(b->tiles, fields, &ss.engine);
+    DepositTiles(in, *b, sid, fields);
+    if (!shared_fold) {
+      DepositionEngine::FoldCurrentGuards(hw_, fields);
     }
-    for (size_t sidx = 0; sidx < blocks.size(); ++sidx) {
-      LegacyBoundaries(in, *blocks[sidx], static_cast<int>(sidx),
-                       &dropped[sidx]);
-    }
-    for (size_t sidx = 0; sidx < blocks.size(); ++sidx) {
-      SpeciesBlock* b = blocks[sidx].get();
-      const int sid = static_cast<int>(sidx);
-      SpeciesStepStats ss;
-      ss.name = b->species.name;
-      ss.dropped = dropped[sidx];
-      std::function<bool(int)> skip_tile;
-      if (in.health != nullptr && in.health->AnyQuarantined()) {
-        const HealthMonitor* monitor = in.health;
-        skip_tile = [monitor, sid](int t) {
-          return monitor->IsQuarantined(sid, t);
-        };
-      }
-      ss.engine = b->engine.DepositStep(b->tiles, fields, b->species.charge,
-                                        /*fold_guards=*/!shared_fold, in.dt,
-                                        skip_tile);
-      ss.pushed = b->pushed_last_step;
-      stats->species.push_back(std::move(ss));
-    }
+    // The policy's throughput trigger sees this species' deposition-phase
+    // cycles (Preproc+Compute+Sort+Reduce) of this step.
+    b->engine.FinishStep(b->tiles, fields,
+                         hw_.ledger().DepositionCycles() - dep_before,
+                         &ss.engine);
+    stats->species.push_back(std::move(ss));
   }
 
   if (shared_fold) {
@@ -660,12 +524,11 @@ void StepPipeline::RunParticleStages(const StepPipelineInputs& in,
     in.rank_comm->ExchangeCurrentHalos(fields);
   }
 
-  // Collision stage (shared by both orchestrations): after every species has
-  // deposited, so this step's J reflects the pre-collision momenta, and after
-  // the sort barriers, so the GPMA bins hold each cell's current occupants.
-  // Scattering rewrites only momenta — positions, slots, and GPMA structures
-  // are untouched — making the stage a pure tail that cannot perturb the
-  // fused-vs-legacy bit identity of the stages before it.
+  // Collision stage: after every species has deposited, so this step's J
+  // reflects the pre-collision momenta, and after the sort barriers, so the
+  // GPMA bins hold each cell's current occupants. Scattering rewrites only
+  // momenta — positions, slots, and GPMA structures are untouched — so the
+  // stage is a pure tail of the step.
   if (in.collisions != nullptr) {
     in.collisions->Apply(in.step, in.dt);
     stats->collisions = in.collisions->last_step_stats();

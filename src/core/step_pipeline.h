@@ -1,7 +1,7 @@
 // StepPipeline: the per-step particle schedule — which tile stages run in
 // which fan-out regions, and in what order.
 //
-// Fused mode (the default) runs each species in two cache-resident passes:
+// Each species runs in two cache-resident passes:
 //
 //   pass 1 (one ParallelForTiles region): per tile, gather -> push ->
 //          boundary wrap / window drop -> incremental-sort scan, so the
@@ -14,33 +14,23 @@
 //          halo-disjoint colored schedule — every color class fans out, the
 //          classes run as sequential barriers.
 //
-// Legacy mode (fuse_stages = false) reproduces the five-sweep schedule the
-// seed used — one full tile sweep per stage (gather+push, boundaries, scan,
-// staging+kernel, serial reduce) — as the bit-identical reference: both modes
-// execute exactly the same per-tile operations, all tile-private until the
-// serial barriers, and both visit the reduction's color classes in the same
-// order, so physics output matches bitwise on any workload, species count,
-// core count, and thread count. Only the modeled cycle cost differs: the
-// fused pipeline touches each tile's SoA twice per step instead of five
-// times, pays two fork/joins per species instead of five, and parallelizes
-// the previously serial reduction (bench_abl_fusion quantifies all three).
+// Every per-tile operation is tile-private until the serial barriers, and the
+// reduction visits its color classes in a fixed order, so physics output is
+// bit-identical on any core count and thread count: a 1-core run takes the
+// serial deposit and serial color-major reduce, a multi-core run fans both
+// out, and the two agree bitwise. One input is machine-dependent: the resort
+// policy's *performance* trigger (Sec. 4.4, strategy 5) reads the modeled
+// deposition throughput, so on two machines a long run skating along the
+// degradation threshold can in principle global-sort on different steps. The
+// other triggers are physics-driven and machine-independent.
 //
-// One caveat bounds the bit-identity guarantee: the resort policy's
-// *performance* trigger (Sec. 4.4, strategy 5) responds to each schedule's
-// own modeled deposition throughput, and since fusion makes deposition
-// genuinely cheaper, a long run skating along the degradation threshold can
-// in principle schedule a global sort on different steps in the two modes
-// (never within min_sort_interval steps of the last sort). The other
-// triggers — fixed interval, rebuild count, empty-slot ratio — are
-// physics-driven and schedule-independent.
-//
-// J zeroing is charged under its own fan-out in fused mode (each core zeroes
-// a contiguous chunk) instead of the serial Phase::kOther block legacy uses.
+// J zeroing is charged under its own fan-out (each core zeroes a contiguous
+// chunk); a 1-core machine zeroes it as one serial Phase::kOther block.
 //
 // When collisions are configured, a tile-parallel Takizuka-Abe collision
-// stage (src/collide/collision.h, Phase::kCollide) runs as the shared tail of
-// both orchestrations, after every species has deposited: the step's J sees
-// the pre-collision momenta, and the GPMA bins — current after the sort
+// stage (src/collide/collision.h, Phase::kCollide) runs as the tail of the
+// step, after every species has deposited: the step's J sees the
+// pre-collision momenta, and the GPMA bins — current after the sort
 // barriers — provide the per-cell pairing.
 
 #ifndef MPIC_SRC_CORE_STEP_PIPELINE_H_
@@ -98,7 +88,7 @@ struct StepPipelineInputs {
   // Step index keying the collision RNG streams.
   int64_t step = 0;
   // Optional collision stage, applied after every species has deposited (so
-  // this step's J reflects the pre-collision momenta in both orchestrations).
+  // this step's J reflects the pre-collision momenta).
   // Null disables collisions.
   CollisionModule* collisions = nullptr;
   // Optional health monitor (src/runtime/health.h). When set, the per-tile
@@ -118,10 +108,7 @@ struct StepPipelineInputs {
 
 class StepPipeline {
  public:
-  StepPipeline(HwContext& hw, bool fuse_stages)
-      : hw_(hw), fuse_stages_(fuse_stages) {}
-
-  bool fused() const { return fuse_stages_; }
+  explicit StepPipeline(HwContext& hw) : hw_(hw) {}
 
   // Runs the particle stages of one step for every block — zero J, gather,
   // push, particle boundaries, sort scan + ordered delivery, staging +
@@ -170,18 +157,7 @@ class StepPipeline {
   void DepositTiles(const StepPipelineInputs& in, SpeciesBlock& block, int sid,
                     FieldSet& fields);
 
-  // Legacy sweeps (one stage per region), preserving the seed schedule.
-  void LegacyGatherAndPush(const StepPipelineInputs& in, SpeciesBlock& block,
-                           int sid, const FieldSet& fields);
-  template <int Order>
-  void LegacyGatherAndPushImpl(const StepPipelineInputs& in,
-                               SpeciesBlock& block, int sid,
-                               const FieldSet& fields);
-  void LegacyBoundaries(const StepPipelineInputs& in, SpeciesBlock& block,
-                        int sid, int64_t* dropped);
-
   HwContext& hw_;
-  bool fuse_stages_;
 };
 
 }  // namespace mpic

@@ -92,7 +92,6 @@ SimulationConfig MakeUniformConfig(const UniformWorkloadParams& p) {
   }
   cfg.cfl = 0.95;
   cfg.solver = SolverKind::kCkc;
-  cfg.fuse_stages = p.fuse_stages;
   return cfg;
 }
 
@@ -135,7 +134,6 @@ SimulationConfig MakeBunchedBeamConfig(const BunchedBeamParams& p) {
   }
   cfg.cfl = 0.95;
   cfg.solver = SolverKind::kCkc;
-  cfg.fuse_stages = p.fuse_stages;
   cfg.species = {SpeciesConfig{}};  // one electron species: bunch + background
   return cfg;
 }
@@ -241,7 +239,6 @@ SimulationConfig MakeLwfaConfig(const LwfaWorkloadParams& p) {
   }
   cfg.cfl = 0.98;
   cfg.solver = SolverKind::kCkc;
-  cfg.fuse_stages = p.fuse_stages;
 
   cfg.laser_enabled = true;
   cfg.laser.a0 = p.a0;
@@ -316,7 +313,6 @@ std::unique_ptr<Simulation> MakeTwoStreamSimulation(HwContext& hw,
   cfg.engine.order = 1;
   cfg.cfl = 0.95;
   cfg.solver = SolverKind::kCkc;
-  cfg.fuse_stages = p.fuse_stages;
   cfg.species.clear();
   SpeciesConfig fwd;
   fwd.species = Species{"e_beam_fwd", kElectronCharge, kElectronMass};
@@ -379,7 +375,6 @@ SimulationConfig MakeCollisionalRelaxationConfig(
   cfg.engine.order = p.order;
   cfg.cfl = 0.95;
   cfg.solver = SolverKind::kCkc;
-  cfg.fuse_stages = p.fuse_stages;
 
   // Hot electrons plus a cold electron-mass species of opposite charge: the
   // box is charge-neutral (quiet fields) and the equal masses equilibrate at

@@ -84,8 +84,7 @@ struct MachineConfig {
   // Fork/join cost of one tile-parallel region (thread wake-up + barrier),
   // charged once per fan-out on the main ledger when num_cores > 1. Makes the
   // modeled cost of a step depend on how many separate sweeps it launches —
-  // the fused two-pass pipeline pays it twice per species, the legacy
-  // five-sweep path five times.
+  // the fused two-pass pipeline pays it twice per species.
   double parallel_region_fork_join_cycles = 400.0;
 
   // --- Memory hierarchy ---

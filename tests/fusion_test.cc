@@ -1,9 +1,10 @@
-// Fused step-pipeline tests: the two-pass fused schedule must be bit-identical
-// to the legacy sweep-per-stage schedule on every workload, variant, order,
-// species count, and core/thread count; the halo-disjoint reduction coloring
-// must be a valid schedule; and the modeled ledger must be deterministic
-// across runs now that every modeled array (including the gather scratch) is
-// registered with the address map.
+// Fused step-pipeline tests: a multi-core run, which fans out every tile
+// stage and the colored reduce, must be bit-identical to the 1-core run,
+// which takes the serial deposit and the serial color-major reduce, on every
+// workload, variant, order, species count, and thread count; the
+// halo-disjoint reduction coloring must be a valid schedule; and the modeled
+// ledger must be deterministic across runs now that every modeled array
+// (including the gather scratch) is registered with the address map.
 
 #include <gtest/gtest.h>
 
@@ -82,11 +83,37 @@ void ExpectSimsBitIdentical(Simulation& a, Simulation& b) {
   }
 }
 
-// ---- Fused vs. legacy bit identity -----------------------------------------
+// ---- Multi-core vs. 1-core bit identity --------------------------------------
 
-class FusedVsLegacyCores : public ::testing::TestWithParam<int> {};
+// Builds the same simulation on a 1-core machine and on `cores` cores, runs
+// both for `steps` steps, and compares them bitwise. Every fused stage must
+// be tile-private for the fan-out to reproduce the serial run.
+template <typename MakeSim>
+void ExpectMatchesSerialRun(int cores, int steps, MakeSim make) {
+  HwContext serial_hw(MachineConfig::Lx2MultiCore(1));
+  auto serial = make(serial_hw);
+  serial->Run(steps);
+  HwContext par_hw(MachineConfig::Lx2MultiCore(cores));
+  auto parallel = make(par_hw);
+  parallel->Run(steps);
 
-TEST_P(FusedVsLegacyCores, UniformEveryVariantAndOrder) {
+  ExpectSimsBitIdentical(*serial, *parallel);
+  // Both runs execute the same work: instruction counters match too.
+  EXPECT_EQ(serial_hw.ledger().counters().mopas,
+            par_hw.ledger().counters().mopas);
+  EXPECT_EQ(serial_hw.ledger().counters().scatters,
+            par_hw.ledger().counters().scatters);
+  const std::vector<SpeciesStepStats>& ss = serial->last_sim_stats().species;
+  const std::vector<SpeciesStepStats>& ps = parallel->last_sim_stats().species;
+  ASSERT_EQ(ss.size(), ps.size());
+  for (size_t i = 0; i < ss.size(); ++i) {
+    EXPECT_EQ(ss[i].pushed, ps[i].pushed) << "species " << i;
+  }
+}
+
+class CoreCountBitIdentity : public ::testing::TestWithParam<int> {};
+
+TEST_P(CoreCountBitIdentity, UniformEveryVariantAndOrder) {
   UseManyThreads();
   struct Combo {
     DepositVariant variant;
@@ -116,45 +143,22 @@ TEST_P(FusedVsLegacyCores, UniformEveryVariantAndOrder) {
     p.tile = 4;
     p.variant = c.variant;
     p.order = c.order;
-
-    p.fuse_stages = true;
-    HwContext fused_hw(MachineConfig::Lx2MultiCore(GetParam()));
-    auto fused = MakeUniformSimulation(fused_hw, p);
-    fused->Run(4);
-
-    p.fuse_stages = false;
-    HwContext legacy_hw(MachineConfig::Lx2MultiCore(GetParam()));
-    auto legacy = MakeUniformSimulation(legacy_hw, p);
-    legacy->Run(4);
-
-    ExpectSimsBitIdentical(*fused, *legacy);
-    // The schedules execute the same work: instruction counters match too.
-    EXPECT_EQ(fused_hw.ledger().counters().mopas,
-              legacy_hw.ledger().counters().mopas);
-    EXPECT_EQ(fused_hw.ledger().counters().scatters,
-              legacy_hw.ledger().counters().scatters);
+    ExpectMatchesSerialRun(GetParam(), 4, [&](HwContext& hw) {
+      return MakeUniformSimulation(hw, p);
+    });
   }
 }
 
-TEST_P(FusedVsLegacyCores, TwoStream) {
+TEST_P(CoreCountBitIdentity, TwoStream) {
   UseManyThreads();
   TwoStreamParams p;
   p.variant = DepositVariant::kFullOpt;
-
-  p.fuse_stages = true;
-  HwContext fused_hw(MachineConfig::Lx2MultiCore(GetParam()));
-  auto fused = MakeTwoStreamSimulation(fused_hw, p);
-  fused->Run(5);
-
-  p.fuse_stages = false;
-  HwContext legacy_hw(MachineConfig::Lx2MultiCore(GetParam()));
-  auto legacy = MakeTwoStreamSimulation(legacy_hw, p);
-  legacy->Run(5);
-
-  ExpectSimsBitIdentical(*fused, *legacy);
+  ExpectMatchesSerialRun(GetParam(), 5, [&](HwContext& hw) {
+    return MakeTwoStreamSimulation(hw, p);
+  });
 }
 
-TEST_P(FusedVsLegacyCores, LwfaMovingWindowWithIons) {
+TEST_P(CoreCountBitIdentity, LwfaMovingWindowWithIons) {
   UseManyThreads();
   LwfaWorkloadParams p;
   p.nx = p.ny = 8;
@@ -163,24 +167,15 @@ TEST_P(FusedVsLegacyCores, LwfaMovingWindowWithIons) {
   p.tile_z = 8;
   p.variant = DepositVariant::kFullOpt;
   p.with_ions = true;
-
-  p.fuse_stages = true;
-  HwContext fused_hw(MachineConfig::Lx2MultiCore(GetParam()));
-  auto fused = MakeLwfaSimulation(fused_hw, p);
-  fused->Run(8);
-
-  p.fuse_stages = false;
-  HwContext legacy_hw(MachineConfig::Lx2MultiCore(GetParam()));
-  auto legacy = MakeLwfaSimulation(legacy_hw, p);
-  legacy->Run(8);
-
-  ExpectSimsBitIdentical(*fused, *legacy);
+  ExpectMatchesSerialRun(GetParam(), 8, [&](HwContext& hw) {
+    return MakeLwfaSimulation(hw, p);
+  });
 }
 
-TEST_P(FusedVsLegacyCores, MultiSpeciesMixedEngineOverrides) {
+TEST_P(CoreCountBitIdentity, MultiSpeciesMixedEngineOverrides) {
   UseManyThreads();
   // Electrons on the full MPU pipeline at CIC; heavy ions on the unsorted
-  // hybrid at QSP — exercises per-species order dispatch in both schedules.
+  // hybrid at QSP — exercises per-species order dispatch in every stage.
   UniformWorkloadParams p;
   p.nx = p.ny = p.nz = 8;
   p.tile = 4;
@@ -193,32 +188,18 @@ TEST_P(FusedVsLegacyCores, MultiSpeciesMixedEngineOverrides) {
   ions.variant = DepositVariant::kHybridNoSort;
   ions.order = 3;
   p.species_params = {electrons, ions};
-
-  p.fuse_stages = true;
-  HwContext fused_hw(MachineConfig::Lx2MultiCore(GetParam()));
-  auto fused = MakeUniformSimulation(fused_hw, p);
-  fused->Run(5);
-
-  p.fuse_stages = false;
-  HwContext legacy_hw(MachineConfig::Lx2MultiCore(GetParam()));
-  auto legacy = MakeUniformSimulation(legacy_hw, p);
-  legacy->Run(5);
-
-  ExpectSimsBitIdentical(*fused, *legacy);
-  ASSERT_EQ(fused->last_sim_stats().species.size(), 2u);
-  EXPECT_EQ(fused->last_sim_stats().species[0].pushed,
-            legacy->last_sim_stats().species[0].pushed);
-  EXPECT_EQ(fused->last_sim_stats().species[1].pushed,
-            legacy->last_sim_stats().species[1].pushed);
+  ExpectMatchesSerialRun(GetParam(), 5, [&](HwContext& hw) {
+    return MakeUniformSimulation(hw, p);
+  });
 }
 
-TEST_P(FusedVsLegacyCores, EsirkepovUniformEveryOrder) {
+TEST_P(CoreCountBitIdentity, EsirkepovUniformEveryOrder) {
   UseManyThreads();
-  // The charge-conserving scheme runs the same per-tile stages through both
-  // orchestrations: capture, push, wrap (with old-lane shift), scan, staged
-  // deposit into the per-tile TileCurrent, colored reduce. Bit identity must
-  // hold on every order, including TSC (order 2), which only this scheme
-  // supports on the kFullOpt machinery.
+  // The charge-conserving scheme runs through the same per-tile stages:
+  // capture, push, wrap (with old-lane shift), scan, staged deposit into the
+  // per-tile TileCurrent, colored reduce. Bit identity must hold on every
+  // order, including TSC (order 2), which only this scheme supports on the
+  // kFullOpt machinery.
   for (int order : {1, 2, 3}) {
     SCOPED_TRACE(order);
     UniformWorkloadParams p;
@@ -228,26 +209,18 @@ TEST_P(FusedVsLegacyCores, EsirkepovUniformEveryOrder) {
     p.variant = DepositVariant::kFullOpt;
     p.order = order;
     p.scheme = CurrentScheme::kEsirkepov;
-
-    p.fuse_stages = true;
-    HwContext fused_hw(MachineConfig::Lx2MultiCore(GetParam()));
-    auto fused = MakeUniformSimulation(fused_hw, p);
-    fused->Run(4);
-
-    p.fuse_stages = false;
-    HwContext legacy_hw(MachineConfig::Lx2MultiCore(GetParam()));
-    auto legacy = MakeUniformSimulation(legacy_hw, p);
-    legacy->Run(4);
-
-    ExpectSimsBitIdentical(*fused, *legacy);
+    ExpectMatchesSerialRun(GetParam(), 4, [&](HwContext& hw) {
+      return MakeUniformSimulation(hw, p);
+    });
   }
 }
 
-TEST_P(FusedVsLegacyCores, EsirkepovLwfaMovingWindowWithIons) {
+TEST_P(CoreCountBitIdentity, EsirkepovLwfaMovingWindowWithIons) {
   UseManyThreads();
   // Moving window + Esirkepov: window drops remove charge mid-step and the
   // tile-parallel injection adds it back after the deposit — the old-position
-  // lanes must survive both, and the two schedules must still agree bitwise.
+  // lanes must survive both, and the serial and fanned-out runs must still
+  // agree bitwise.
   LwfaWorkloadParams p;
   p.nx = p.ny = 8;
   p.nz = 32;
@@ -256,21 +229,12 @@ TEST_P(FusedVsLegacyCores, EsirkepovLwfaMovingWindowWithIons) {
   p.variant = DepositVariant::kFullOpt;
   p.scheme = CurrentScheme::kEsirkepov;
   p.with_ions = true;
-
-  p.fuse_stages = true;
-  HwContext fused_hw(MachineConfig::Lx2MultiCore(GetParam()));
-  auto fused = MakeLwfaSimulation(fused_hw, p);
-  fused->Run(8);
-
-  p.fuse_stages = false;
-  HwContext legacy_hw(MachineConfig::Lx2MultiCore(GetParam()));
-  auto legacy = MakeLwfaSimulation(legacy_hw, p);
-  legacy->Run(8);
-
-  ExpectSimsBitIdentical(*fused, *legacy);
+  ExpectMatchesSerialRun(GetParam(), 8, [&](HwContext& hw) {
+    return MakeLwfaSimulation(hw, p);
+  });
 }
 
-INSTANTIATE_TEST_SUITE_P(Cores, FusedVsLegacyCores, ::testing::Values(1, 2, 4));
+INSTANTIATE_TEST_SUITE_P(Cores, CoreCountBitIdentity, ::testing::Values(2, 4));
 
 // Esirkepov across core counts: the colored reduce of the per-tile J scratch
 // (wider halo than rhocell) must be schedule-independent on its own.
@@ -296,8 +260,8 @@ TEST(FusedPipeline, EsirkepovBitIdenticalAcrossCoreCounts) {
   }
 }
 
-// The fused schedule must also be bit-stable across core counts on its own
-// (the legacy path's cross-core determinism is pinned by threading_test).
+// The default kFullOpt schedule must be bit-stable across core counts,
+// including the odd count 3.
 TEST(FusedPipeline, BitIdenticalAcrossCoreCounts) {
   UseManyThreads();
   UniformWorkloadParams p;
@@ -455,28 +419,6 @@ TEST(LedgerDeterminism, RepeatedRunsChargeIdenticalCycles) {
     }
     EXPECT_EQ(a.counters().l1_misses, b.counters().l1_misses);
     EXPECT_EQ(a.counters().l2_misses, b.counters().l2_misses);
-  }
-}
-
-// ---- Fused pipeline is modeled as cheaper -----------------------------------
-
-TEST(FusedPipeline, ModeledCyclesBelowLegacySweeps) {
-  UseManyThreads();
-  auto total = [](bool fused, int cores) {
-    UniformWorkloadParams p;
-    p.nx = p.ny = p.nz = 16;
-    p.ppc_x = p.ppc_y = p.ppc_z = 4;
-    p.tile = 4;
-    p.variant = DepositVariant::kFullOpt;
-    p.fuse_stages = fused;
-    HwContext hw(MachineConfig::Lx2MultiCore(cores));
-    auto sim = MakeUniformSimulation(hw, p);
-    sim->Run(3);
-    return hw.ledger().TotalCycles();
-  };
-  for (int cores : {1, 4}) {
-    SCOPED_TRACE(cores);
-    EXPECT_LT(total(/*fused=*/true, cores), total(/*fused=*/false, cores));
   }
 }
 

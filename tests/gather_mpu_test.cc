@@ -2,7 +2,7 @@
 // agreement with the scalar reference on dense, sparse and edge bins at TSC
 // and QSP, the stale-bin case after a moving-window shift, the order-1
 // dispatch staying on the scalar path, and physics/ledger determinism of the
-// MPU gather across cores, pipelines, schedules and host threads.
+// MPU gather across cores, tile schedules and host threads.
 
 #include <gtest/gtest.h>
 
@@ -249,9 +249,9 @@ TEST(GatherMpu, StaleBinsAfterWindowShiftAgreeWithBaseline) {
 }
 
 // Uniform QSP kFullOpt with the MPU gather live: physics digests agree across
-// cores {1, 2, 4} x fused/legacy x kStatic/kCostSteal, and every
-// configuration charges bit-identical cycles in all 11 phases (and the same
-// gather MOPA counters) at 1 and 4 host threads.
+// cores {1, 2, 4} x kStatic/kCostSteal, and every configuration charges
+// bit-identical cycles in all 11 phases (and the same gather MOPA counters)
+// at 1 and 4 host threads.
 TEST(GatherMpu, DigestsAndLedgerDeterministicAcrossCoresPipelinesSchedules) {
   UniformWorkloadParams p;
   p.nx = p.ny = p.nz = 8;
@@ -262,37 +262,34 @@ TEST(GatherMpu, DigestsAndLedgerDeterministicAcrossCoresPipelinesSchedules) {
   uint64_t digest0 = 0;
   bool first = true;
   for (int cores : {1, 2, 4}) {
-    for (bool fused : {true, false}) {
-      for (bool steal : {false, true}) {
-        SCOPED_TRACE(::testing::Message() << "cores " << cores << " fused "
-                                          << fused << " steal " << steal);
-        p.fuse_stages = fused;
-        CostLedger ledgers[2];
-        for (int threads : {1, 4}) {
-          SetThreads(threads);
-          HwContext hw(steal ? MachineConfig::Lx2MultiCoreStealing(cores)
-                             : MachineConfig::Lx2MultiCore(cores));
-          auto sim = MakeUniformSimulation(hw, p);
-          sim->Run(3);
-          const uint64_t d = SimulationDigest(*sim);
-          if (first) {
-            digest0 = d;
-            first = false;
-          }
-          EXPECT_EQ(d, digest0);
-          ledgers[threads == 1 ? 0 : 1] = hw.ledger();
+    for (bool steal : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "cores " << cores << " steal "
+                                        << steal);
+      CostLedger ledgers[2];
+      for (int threads : {1, 4}) {
+        SetThreads(threads);
+        HwContext hw(steal ? MachineConfig::Lx2MultiCoreStealing(cores)
+                           : MachineConfig::Lx2MultiCore(cores));
+        auto sim = MakeUniformSimulation(hw, p);
+        sim->Run(3);
+        const uint64_t d = SimulationDigest(*sim);
+        if (first) {
+          digest0 = d;
+          first = false;
         }
-        for (int ph = 0; ph < kNumPhases; ++ph) {
-          EXPECT_EQ(ledgers[0].PhaseCycles(static_cast<Phase>(ph)),
-                    ledgers[1].PhaseCycles(static_cast<Phase>(ph)))
-              << PhaseName(static_cast<Phase>(ph));
-        }
-        EXPECT_GT(ledgers[0].counters().gather_mopas, 0u);
-        EXPECT_EQ(ledgers[0].counters().gather_mopas,
-                  ledgers[1].counters().gather_mopas);
-        EXPECT_EQ(ledgers[0].counters().gather_mopa_valid_slots,
-                  ledgers[1].counters().gather_mopa_valid_slots);
+        EXPECT_EQ(d, digest0);
+        ledgers[threads == 1 ? 0 : 1] = hw.ledger();
       }
+      for (int ph = 0; ph < kNumPhases; ++ph) {
+        EXPECT_EQ(ledgers[0].PhaseCycles(static_cast<Phase>(ph)),
+                  ledgers[1].PhaseCycles(static_cast<Phase>(ph)))
+            << PhaseName(static_cast<Phase>(ph));
+      }
+      EXPECT_GT(ledgers[0].counters().gather_mopas, 0u);
+      EXPECT_EQ(ledgers[0].counters().gather_mopas,
+                ledgers[1].counters().gather_mopas);
+      EXPECT_EQ(ledgers[0].counters().gather_mopa_valid_slots,
+                ledgers[1].counters().gather_mopa_valid_slots);
     }
   }
   SetThreads(4);

@@ -410,14 +410,12 @@ uint64_t DigestAfterRun(std::unique_ptr<Simulation> sim, int steps) {
   return SimulationDigest(*sim);
 }
 
-// Builds (workload x pipeline) under one (policy, cores) machine and returns
-// the digests after a few steps.
+// Builds each workload under one (policy, cores) machine and returns the
+// digests after a few steps.
 struct MatrixDigests {
-  uint64_t uniform_fused = 0;
-  uint64_t uniform_legacy = 0;
-  uint64_t bunched_fused = 0;
-  uint64_t bunched_legacy = 0;
-  uint64_t lwfa_fused = 0;
+  uint64_t uniform = 0;
+  uint64_t bunched = 0;
+  uint64_t lwfa = 0;
 };
 
 MatrixDigests RunMatrix(TileSchedulePolicy policy, int cores) {
@@ -433,20 +431,16 @@ MatrixDigests RunMatrix(TileSchedulePolicy policy, int cores) {
   up.nx = up.ny = up.nz = 8;
   up.ppc_x = up.ppc_y = up.ppc_z = 2;
   up.tile = 4;
-  for (const bool fused : {true, false}) {
-    up.fuse_stages = fused;
+  {
     HwContext hw(mk_hw());
-    const uint64_t digest = DigestAfterRun(MakeUniformSimulation(hw, up), 4);
-    (fused ? d.uniform_fused : d.uniform_legacy) = digest;
+    d.uniform = DigestAfterRun(MakeUniformSimulation(hw, up), 4);
   }
 
   BunchedBeamParams bp;
   bp.ppc_x = bp.ppc_y = bp.ppc_z = 4;  // lighter than the bench, same shape
-  for (const bool fused : {true, false}) {
-    bp.fuse_stages = fused;
+  {
     HwContext hw(mk_hw());
-    const uint64_t digest = DigestAfterRun(MakeBunchedBeamSimulation(hw, bp), 3);
-    (fused ? d.bunched_fused : d.bunched_legacy) = digest;
+    d.bunched = DigestAfterRun(MakeBunchedBeamSimulation(hw, bp), 3);
   }
 
   LwfaWorkloadParams lp;
@@ -456,7 +450,7 @@ MatrixDigests RunMatrix(TileSchedulePolicy policy, int cores) {
   lp.tile_z = 8;
   {
     HwContext hw(mk_hw());
-    d.lwfa_fused = DigestAfterRun(MakeLwfaSimulation(hw, lp), 6);
+    d.lwfa = DigestAfterRun(MakeLwfaSimulation(hw, lp), 6);
   }
   return d;
 }
@@ -467,14 +461,9 @@ TEST_P(SchedulerBitIdentity, DigestsMatchStaticAcrossPolicies) {
   const int cores = GetParam();
   const MatrixDigests st = RunMatrix(TileSchedulePolicy::kStatic, cores);
   const MatrixDigests sl = RunMatrix(TileSchedulePolicy::kCostSteal, cores);
-  EXPECT_EQ(st.uniform_fused, sl.uniform_fused);
-  EXPECT_EQ(st.uniform_legacy, sl.uniform_legacy);
-  EXPECT_EQ(st.bunched_fused, sl.bunched_fused);
-  EXPECT_EQ(st.bunched_legacy, sl.bunched_legacy);
-  EXPECT_EQ(st.lwfa_fused, sl.lwfa_fused);
-  // Fused vs legacy is also bit-identical, under either policy.
-  EXPECT_EQ(st.uniform_fused, st.uniform_legacy);
-  EXPECT_EQ(sl.bunched_fused, sl.bunched_legacy);
+  EXPECT_EQ(st.uniform, sl.uniform);
+  EXPECT_EQ(st.bunched, sl.bunched);
+  EXPECT_EQ(st.lwfa, sl.lwfa);
 }
 
 INSTANTIATE_TEST_SUITE_P(Cores, SchedulerBitIdentity, ::testing::Values(1, 2, 4));
