@@ -57,7 +57,7 @@ void PartB() {
     plasma.ppc_y = p.ppc_y;
     plasma.ppc_z = p.ppc_z;
     plasma.u_th = p.u_th;
-    sim.SeedUniformPlasma(plasma);
+    sim.SeedUniformPlasma(0, plasma);
     ScrambleParticleOrder(sim.tiles(), 7);
     sim.Initialize();
     sim.Run(1);

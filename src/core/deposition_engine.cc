@@ -145,10 +145,6 @@ void DepositionEngine::AccumulateInjectionRebuilds(int64_t rebuilds) {
   rank_stats_.local_rebuilds += rebuilds;
 }
 
-void DepositionEngine::RemoveParticle(TileSet& tiles, int tile_index, int32_t pid) {
-  RemoveParticle(hw_, tiles, tile_index, pid);
-}
-
 void DepositionEngine::RemoveParticle(HwContext& hw, TileSet& tiles, int tile_index,
                                       int32_t pid) {
   ParticleTile& tile = tiles.tile(tile_index);
@@ -417,6 +413,17 @@ void DepositionEngine::StageAndDepositTile(HwContext& hw, TileSet& tiles,
   params.geom = tiles.geom();
   params.charge = charge;
   params.dt = step_dt_;
+  // Size the staging and bring the model's address space current BEFORE the
+  // kernels touch anything: the SoA streams (DeliverMovers may have grown
+  // this tile since the last refresh) and the scratch may have reallocated
+  // (cheap no-op otherwise), and every access must land in registered memory
+  // to keep the modeled cache deterministic. The Esirkepov scheme stages into
+  // its own scratch, registered by EsirkepovDepositTileImpl.
+  DepositScratch& scratch = scratch_[static_cast<size_t>(t)];
+  if (!esirkepov() && traits_.staging != StagingKind::kNone) {
+    scratch.Resize(tile.soa().size(), config_.order);
+  }
+  RegisterStagingRegions(hw, TileKey(t), tile, scratch);
   if (esirkepov()) {
     EsirkepovScratch& es = esirk_scratch_[static_cast<size_t>(t)];
     TileCurrent& tj = tile_currents_[static_cast<size_t>(t)];
@@ -435,20 +442,16 @@ void DepositionEngine::StageAndDepositTile(HwContext& hw, TileSet& tiles,
     }
     return;
   }
-  DepositScratch& scratch = scratch_[static_cast<size_t>(t)];
   RhocellBuffer& rhocell = rhocells_[static_cast<size_t>(t)];
   switch (config_.order) {
     case 1:
-      StageAndDepositTileImpl<1>(hw, TileKey(t), tile, fields, params, scratch,
-                                 rhocell);
+      StageAndDepositTileImpl<1>(hw, tile, fields, params, scratch, rhocell);
       break;
     case 2:
-      StageAndDepositTileImpl<2>(hw, TileKey(t), tile, fields, params, scratch,
-                                 rhocell);
+      StageAndDepositTileImpl<2>(hw, tile, fields, params, scratch, rhocell);
       break;
     case 3:
-      StageAndDepositTileImpl<3>(hw, TileKey(t), tile, fields, params, scratch,
-                                 rhocell);
+      StageAndDepositTileImpl<3>(hw, tile, fields, params, scratch, rhocell);
       break;
     default:
       MPIC_CHECK_MSG(false, "unsupported shape order");
@@ -462,7 +465,7 @@ void DepositionEngine::EsirkepovDepositTileImpl(HwContext& hw, uint64_t key_base
                                                 EsirkepovScratch& scratch,
                                                 TileCurrent& tile_j) {
   // Size and register the staging before anything touches it (same contract
-  // as the direct path: writes must land in deterministically mapped memory).
+  // as the SoA streams: writes must land in deterministically mapped memory).
   scratch.Resize(tile.soa().size(), Order);
   RegisterEsirkepovRegions(hw, key_base, scratch, tile_j);
   // The variant's staging cost profile carries over: VPU-staged variants
@@ -477,7 +480,7 @@ void DepositionEngine::EsirkepovDepositTileImpl(HwContext& hw, uint64_t key_base
                                    traits_.sorted_iteration
                                        ? MpuScheduling::kCellResident
                                        : MpuScheduling::kPairwise,
-                                   config_.sparse_fallback_ppc, scratch, tile_j);
+                                   scratch, tile_j);
   } else {
     DepositEsirkepovTile<Order>(hw, tile, params, traits_.sorted_iteration,
                                 scratch, tile_j);
@@ -485,20 +488,11 @@ void DepositionEngine::EsirkepovDepositTileImpl(HwContext& hw, uint64_t key_base
 }
 
 template <int Order>
-void DepositionEngine::StageAndDepositTileImpl(HwContext& hw, uint64_t tile_key,
-                                               ParticleTile& tile, FieldSet& fields,
+void DepositionEngine::StageAndDepositTileImpl(HwContext& hw, ParticleTile& tile,
+                                               FieldSet& fields,
                                                const DepositParams& params,
                                                DepositScratch& scratch,
                                                RhocellBuffer& rhocell) {
-  // Size the staging and bring the model's address space current BEFORE the
-  // kernels touch anything: scratch/SoA vectors may have (re)allocated since
-  // the last registration (cheap no-op otherwise), and the staging writes
-  // must land in registered memory to keep the modeled cache deterministic.
-  if (traits_.staging != StagingKind::kNone) {
-    scratch.Resize(tile.soa().size(), Order);
-  }
-  RegisterStagingRegions(hw, tile_key, tile, scratch);
-
   switch (traits_.staging) {
     case StagingKind::kScalarLoop:
       StageTileScalar<Order>(hw, tile, params, scratch);
@@ -534,8 +528,7 @@ void DepositionEngine::StageAndDepositTileImpl(HwContext& hw, uint64_t tile_key,
       if constexpr (Order == 1 || Order == 3) {
         DepositMpu<Order>(hw, tile, params, scratch, rhocell,
                           traits_.sorted_iteration ? MpuScheduling::kCellResident
-                                                   : MpuScheduling::kPairwise,
-                          config_.sparse_fallback_ppc);
+                                                   : MpuScheduling::kPairwise);
       }
       break;
   }

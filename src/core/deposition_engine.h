@@ -57,12 +57,6 @@ struct EngineConfig {
   CurrentScheme current_scheme = CurrentScheme::kDirect;
   GpmaConfig gpma;
   ResortPolicyConfig policy;
-  // Adaptive low-density fallback (paper Sec. 6.1): cells with fewer live
-  // particles than this are deposited by a VPU path instead of the MPU.
-  // 0 disables. Applies to the MPU kernels (direct and Esirkepov) in
-  // cell-resident mode only; the Esirkepov fallback reproduces the staged
-  // scalar kernel's arithmetic bit-for-bit.
-  int sparse_fallback_ppc = 0;
 };
 
 struct EngineStepStats {
@@ -190,10 +184,9 @@ class DepositionEngine {
                            int32_t pid, int64_t* rebuilds);
   void AccumulateInjectionRebuilds(int64_t rebuilds);
 
-  // Removes a particle (absorbed / left the window). The overload taking an
-  // HwContext charges that context instead of the engine's own — tile-parallel
-  // callers pass their worker context (all mutations stay tile-private).
-  void RemoveParticle(TileSet& tiles, int tile_index, int32_t pid);
+  // Removes a particle (absorbed / left the window), charging `hw` —
+  // tile-parallel callers pass their worker context (all mutations stay
+  // tile-private), serial callers the engine's own.
   void RemoveParticle(HwContext& hw, TileSet& tiles, int tile_index, int32_t pid);
 
   // Forces GlobalSortParticlesByCell on every tile now.
@@ -257,8 +250,8 @@ class DepositionEngine {
 
  private:
   template <int Order>
-  void StageAndDepositTileImpl(HwContext& hw, uint64_t tile_key, ParticleTile& tile,
-                               FieldSet& fields, const DepositParams& params,
+  void StageAndDepositTileImpl(HwContext& hw, ParticleTile& tile, FieldSet& fields,
+                               const DepositParams& params,
                                DepositScratch& scratch, RhocellBuffer& rhocell);
   void ScanTileIncremental(HwContext& hw, TileSet& tiles, int t,
                            TileScanPartial* partial);

@@ -52,16 +52,8 @@ int Simulation::AddSpecies(const SpeciesConfig& config) {
   return static_cast<int>(blocks_.size()) - 1;
 }
 
-int64_t Simulation::SeedUniformPlasma(const UniformPlasmaConfig& cfg) {
-  return SeedUniformPlasma(0, cfg);
-}
-
 int64_t Simulation::SeedUniformPlasma(int sid, const UniformPlasmaConfig& cfg) {
   return InjectUniformPlasma(block(sid).tiles, cfg);
-}
-
-int64_t Simulation::SeedProfiledPlasma(const ProfiledPlasmaConfig& cfg) {
-  return SeedProfiledPlasma(0, cfg);
 }
 
 int64_t Simulation::SeedProfiledPlasma(int sid, const ProfiledPlasmaConfig& cfg) {
@@ -199,7 +191,7 @@ void Simulation::AdvanceWindow() {
       // Drop particles that fell behind the new window tail. Every removal
       // (GPMA remove, slot release) touches only the tile's own structures,
       // so tiles fan out over the modeled cores, each worker charging its own
-      // ledger through the RemoveParticle(HwContext&, ...) overload. Drops
+      // ledger through RemoveParticle's HwContext argument. Drops
       // count into the census the health monitor balances at step end.
       std::vector<PaddedSlot<int64_t>> tail_drops(
           static_cast<size_t>(WorkerSlotCount(hw_)));

@@ -91,10 +91,8 @@ class Simulation {
   }
   const Species& species(int sid) const { return block(sid).species; }
 
-  // Particle seeding (before Initialize). The id-less overloads seed species 0.
-  int64_t SeedUniformPlasma(const UniformPlasmaConfig& cfg);
+  // Particle seeding of species `sid` (before Initialize).
   int64_t SeedUniformPlasma(int sid, const UniformPlasmaConfig& cfg);
-  int64_t SeedProfiledPlasma(const ProfiledPlasmaConfig& cfg);
   int64_t SeedProfiledPlasma(int sid, const ProfiledPlasmaConfig& cfg);
 
   // Builds the sorting structures and registers memory regions. Call once

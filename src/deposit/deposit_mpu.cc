@@ -9,13 +9,6 @@
 namespace mpic {
 namespace {
 
-// Charges `n` VPU register operations (operand shuffles/multiplies) without
-// materializing per-op temporaries.
-void ChargeVpuOps(HwContext& hw, int n) {
-  hw.ledger().counters().vpu_ops += static_cast<uint64_t>(n);
-  hw.ChargeCycles(n / static_cast<double>(hw.cfg().vpu_pipes));
-}
-
 // Gathers the staged streams needed at a given order for a batch of pids.
 template <int Order>
 void GatherStagedBatch(HwContext& hw, const DepositScratch& scratch,
@@ -30,54 +23,6 @@ void GatherStagedBatch(HwContext& hw, const DepositScratch& scratch,
   hw.VGatherAuto(scratch.wqx.data(), pids, m);
   hw.VGatherAuto(scratch.wqy.data(), pids, m);
   hw.VGatherAuto(scratch.wqz.data(), pids, m);
-}
-
-
-// Lightweight VPU deposition for sparse bins (the adaptive fallback of
-// Sec. 6.1): per particle, build the node-weight vector and accumulate into
-// the cell's rhocell blocks directly — no tile setup or extraction to
-// amortize. Semantically identical to the MPU path.
-template <int Order>
-void DepositSparseBinVpu(HwContext& hw, const DepositScratch& scratch,
-                         RhocellBuffer& rhocell, int cell, const int32_t* pids,
-                         int32_t len) {
-  constexpr int kSupport = Order + 1;
-  constexpr int kNodes = Support3D(Order);
-  constexpr int kRows = kNodes / kVpuLanes == 0 ? 1 : kNodes / kVpuLanes;
-  double* blocks[3] = {rhocell.CellJx(cell), rhocell.CellJy(cell),
-                       rhocell.CellJz(cell)};
-  for (int32_t s = 0; s < len; ++s) {
-    const auto i = static_cast<size_t>(pids[s]);
-    // Scalar staged loads (too few particles to batch).
-    hw.TouchRead(&scratch.wqx[i], sizeof(double));
-    hw.TouchRead(&scratch.wqy[i], sizeof(double));
-    hw.TouchRead(&scratch.wqz[i], sizeof(double));
-    for (int t = 0; t < kSupport; ++t) {
-      hw.TouchRead(&scratch.sx[t][i], sizeof(double));
-      hw.TouchRead(&scratch.sy[t][i], sizeof(double));
-      hw.TouchRead(&scratch.sz_[t][i], sizeof(double));
-    }
-    ChargeVpuOps(hw, Order == 1 ? 7 : 24);  // weight-vector build
-    const double factors[3] = {scratch.wqx[i], scratch.wqy[i], scratch.wqz[i]};
-    double w3[Support3D(Order)];
-    int k = 0;
-    for (int c = 0; c < kSupport; ++c) {
-      for (int b = 0; b < kSupport; ++b) {
-        const double wyz = scratch.sy[b][i] * scratch.sz_[c][i];
-        for (int a = 0; a < kSupport; ++a) {
-          w3[k++] = scratch.sx[a][i] * wyz;
-        }
-      }
-    }
-    for (int comp = 0; comp < 3; ++comp) {
-      for (int kk = 0; kk < kNodes; ++kk) {
-        blocks[comp][kk] += factors[comp] * w3[kk];
-      }
-      hw.TouchRead(blocks[comp], sizeof(double) * kNodes);
-      hw.TouchWrite(blocks[comp], sizeof(double) * kNodes);
-      ChargeVpuOps(hw, 2 * kRows);
-    }
-  }
 }
 
 // Issues one MOPA; `fresh` starts a new accumulation (MopaZero) instead of
@@ -116,7 +61,7 @@ void CicMopaPair(HwContext& hw, const DepositScratch& scratch, int64_t p, int64_
       z[2 * cls + a] = scratch.wqz[i] * scratch.sx[a][i];
     }
   }
-  ChargeVpuOps(hw, 5);  // operand assembly (deposit_mpu.h)
+  hw.VpuOps(5);  // operand assembly (deposit_mpu.h)
   const int particles = q >= 0 ? 2 : 1;
   IssueMopa(hw, fresh, tiles[0], rows, xy, 16 * particles);
   IssueMopa(hw, fresh, tiles[1], rows, z, 8 * particles);
@@ -146,7 +91,7 @@ void CicAccumulateBlocks(HwContext& hw, RhocellBuffer& rhocell, int cell,
                        rhocell.CellJz(cell)};
   for (int comp = 0; comp < 3; ++comp) {
     hw.TouchRead(blocks[comp], sizeof(double) * 8);
-    ChargeVpuOps(hw, 1);  // vector add
+    hw.VpuOps(1);  // vector add
     for (int k = 0; k < 8; ++k) {
       blocks[comp][k] += nodes[comp][k];
     }
@@ -156,7 +101,7 @@ void CicAccumulateBlocks(HwContext& hw, RhocellBuffer& rhocell, int cell,
 
 void DepositMpuCic(HwContext& hw, const ParticleTile& tile,
                    const DepositScratch& scratch, RhocellBuffer& rhocell,
-                   MpuScheduling scheduling, int sparse_fallback_ppc) {
+                   MpuScheduling scheduling) {
   PhaseScope phase(hw.ledger(), Phase::kCompute);
   MpuTileReg tiles[2];
   int64_t batch[kVpuLanes];
@@ -165,10 +110,6 @@ void DepositMpuCic(HwContext& hw, const ParticleTile& tile,
     // Tiles accumulate across every particle of the cell; one drain per cell
     // merges the p-class and q-class blocks (same cell by sorting).
     ForEachCellBin(hw, tile, [&](int cell, const int32_t* pids, int32_t len) {
-      if (len < sparse_fallback_ppc) {
-        DepositSparseBinVpu<1>(hw, scratch, rhocell, cell, pids, len);
-        return;
-      }
       for (int32_t s = 0; s < len; s += kVpuLanes) {
         const int count = std::min<int32_t>(kVpuLanes, len - s);
         for (int j = 0; j < count; ++j) {
@@ -183,7 +124,7 @@ void DepositMpuCic(HwContext& hw, const ParticleTile& tile,
       const int classes = len >= 2 ? 2 : 1;
       double nodes[2][3][8];
       CicReadTiles(hw, tiles, classes, nodes);
-      ChargeVpuOps(hw, classes == 2 ? 15 : 7);  // drain network, merge adds
+      hw.VpuOps(classes == 2 ? 15 : 7);  // drain network, merge adds
       if (classes == 2) {
         for (int comp = 0; comp < 3; ++comp) {
           for (int k = 0; k < 8; ++k) {
@@ -210,7 +151,7 @@ void DepositMpuCic(HwContext& hw, const ParticleTile& tile,
                   /*fresh=*/true, tiles);
       double nodes[2][3][8];
       CicReadTiles(hw, tiles, classes, nodes);
-      ChargeVpuOps(hw, 7 * classes);  // drain network per class
+      hw.VpuOps(7 * classes);  // drain network per class
       for (int cls = 0; cls < classes; ++cls) {
         const auto i = static_cast<size_t>(batch[j + cls]);
         CicAccumulateBlocks(hw, rhocell, StagedCellOf<1>(tile, scratch, i),
@@ -255,7 +196,7 @@ void QspMopas(HwContext& hw, const DepositScratch& scratch, int64_t pid, bool fr
     xy[4 + a] = scratch.wqy[i] * scratch.sx[a][i];
     z[a] = scratch.wqz[i] * scratch.sx[a][i];
   }
-  ChargeVpuOps(hw, 9);  // operand assembly (deposit_mpu.h)
+  hw.VpuOps(9);  // operand assembly (deposit_mpu.h)
   for (int t = kXyLo; t <= kZHi; ++t) {
     IssueMopa(hw, fresh, tiles[t], rows[t % 2], t < kZLo ? xy : z,
               t < kZLo ? 64 : 32);
@@ -276,12 +217,12 @@ void QspDrain(HwContext& hw, const MpuTileReg tiles[4], RhocellBuffer& rhocell,
                           hw.TileReadRow(tiles[kXyLo + h], r + 1)};
       const Vec8 z[2] = {hw.TileReadRow(tiles[kZLo + h], r),
                          hw.TileReadRow(tiles[kZLo + h], r + 1)};
-      ChargeVpuOps(hw, 3);  // one permute per component vector
+      hw.VpuOps(3);  // one permute per component vector
       const int base = 4 * (8 * h + r);
       for (int comp = 0; comp < 3; ++comp) {
         double* out = blocks[comp] + base;
         hw.TouchRead(out, sizeof(double) * kVpuLanes);
-        ChargeVpuOps(hw, 1);  // vector add
+        hw.VpuOps(1);  // vector add
         for (int row = 0; row < 2; ++row) {
           for (int a = 0; a < 4; ++a) {
             out[4 * row + a] += comp == 2 ? z[row][a] : xy[row][4 * comp + a];
@@ -295,7 +236,7 @@ void QspDrain(HwContext& hw, const MpuTileReg tiles[4], RhocellBuffer& rhocell,
 
 void DepositMpuQsp(HwContext& hw, const ParticleTile& tile,
                    const DepositScratch& scratch, RhocellBuffer& rhocell,
-                   MpuScheduling scheduling, int sparse_fallback_ppc) {
+                   MpuScheduling scheduling) {
   PhaseScope phase(hw.ledger(), Phase::kCompute);
   MpuTileReg tiles[4];
   int64_t batch[kVpuLanes];
@@ -303,10 +244,6 @@ void DepositMpuQsp(HwContext& hw, const ParticleTile& tile,
   if (scheduling == MpuScheduling::kCellResident) {
     // One pass per bin: all three components ride the four resident tiles.
     ForEachCellBin(hw, tile, [&](int cell, const int32_t* pids, int32_t len) {
-      if (len < sparse_fallback_ppc) {
-        DepositSparseBinVpu<3>(hw, scratch, rhocell, cell, pids, len);
-        return;
-      }
       for (int32_t s = 0; s < len; s += kVpuLanes) {
         const int count = std::min<int32_t>(kVpuLanes, len - s);
         for (int j = 0; j < count; ++j) {
@@ -351,22 +288,22 @@ void DepositMpuQsp(HwContext& hw, const ParticleTile& tile,
 template <int Order>
 void DepositMpu(HwContext& hw, const ParticleTile& tile, const DepositParams& params,
                 const DepositScratch& scratch, RhocellBuffer& rhocell,
-                MpuScheduling scheduling, int sparse_fallback_ppc) {
+                MpuScheduling scheduling) {
   static_assert(Order == 1 || Order == 3,
                 "the MPU mapping is defined for CIC (1) and QSP (3)");
   (void)params;
   if constexpr (Order == 1) {
-    DepositMpuCic(hw, tile, scratch, rhocell, scheduling, sparse_fallback_ppc);
+    DepositMpuCic(hw, tile, scratch, rhocell, scheduling);
   } else {
-    DepositMpuQsp(hw, tile, scratch, rhocell, scheduling, sparse_fallback_ppc);
+    DepositMpuQsp(hw, tile, scratch, rhocell, scheduling);
   }
 }
 
 template void DepositMpu<1>(HwContext&, const ParticleTile&, const DepositParams&,
-                            const DepositScratch&, RhocellBuffer&, MpuScheduling,
-                            int);
+                            const DepositScratch&, RhocellBuffer&,
+                            MpuScheduling);
 template void DepositMpu<3>(HwContext&, const ParticleTile&, const DepositParams&,
-                            const DepositScratch&, RhocellBuffer&, MpuScheduling,
-                            int);
+                            const DepositScratch&, RhocellBuffer&,
+                            MpuScheduling);
 
 }  // namespace mpic

@@ -65,15 +65,12 @@ enum class MpuScheduling {
 // kCellResident iterates via the tile's GPMA (particles must be cell-sorted);
 // kPairwise iterates in SoA slot order. Charged to Phase::kCompute.
 //
-// sparse_fallback_ppc implements the adaptive strategy the paper recommends
-// for production (Sec. 6.1) and lists as future work (Sec. 7): bins holding
-// fewer than this many particles are deposited by a lightweight VPU path
-// instead of spinning up MPU tiles whose per-cell setup/extraction cost cannot
-// amortize. 0 disables the fallback. Only meaningful with kCellResident.
+// Every bin takes the MPU path, however sparse. The paper's adaptive sparse-bin
+// VPU fallback (Sec. 6.1, 7) is not modeled; see ROADMAP item 4.
 template <int Order>
 void DepositMpu(HwContext& hw, const ParticleTile& tile, const DepositParams& params,
                 const DepositScratch& scratch, RhocellBuffer& rhocell,
-                MpuScheduling scheduling, int sparse_fallback_ppc = 0);
+                MpuScheduling scheduling);
 
 }  // namespace mpic
 

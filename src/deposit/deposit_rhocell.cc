@@ -65,8 +65,7 @@ void DepositRhocellAutoVec(HwContext& hw, const ParticleTile& tile,
     // The weight products go through a stack temporary (auto-vec emits the
     // store-reload): yz products scalar, xyz products vectorized.
     hw.ScalarOps(kSupport * kSupport + 3);
-    hw.ledger().counters().vpu_ops += kRows;
-    hw.ChargeCycles(kRows / static_cast<double>(hw.cfg().vpu_pipes));
+    hw.VpuOps(kRows);
     hw.TouchWrite(w3, sizeof(double) * kNodes);
 
     const int cell = StagedCellOf<Order>(tile, scratch, i);
@@ -84,8 +83,7 @@ void DepositRhocellAutoVec(HwContext& hw, const ParticleTile& tile,
         hw.TouchWrite(blocks[comp] + r * kVpuLanes,
                       sizeof(double) * std::min(kNodes, kVpuLanes));
       }
-      hw.ledger().counters().vpu_ops += static_cast<uint64_t>(2 * kRows);
-      hw.ChargeCycles(2.0 * kRows / static_cast<double>(hw.cfg().vpu_pipes));
+      hw.VpuOps(2 * kRows);
     }
   });
 }
@@ -125,8 +123,7 @@ void DepositRhocellVpu(HwContext& hw, const ParticleTile& tile,
       NodeWeights<Order>(scratch, i, w3);
       // Register-resident weight construction: permutes + multiplies.
       const int build_ops = Order == 1 ? 7 : 24;
-      hw.ledger().counters().vpu_ops += static_cast<uint64_t>(build_ops);
-      hw.ChargeCycles(build_ops / static_cast<double>(hw.cfg().vpu_pipes));
+      hw.VpuOps(build_ops);
 
       const int cell = StagedCellOf<Order>(tile, scratch, i);
       hw.ScalarOps(4);
@@ -141,8 +138,7 @@ void DepositRhocellVpu(HwContext& hw, const ParticleTile& tile,
           hw.TouchWrite(blocks[comp] + r * kVpuLanes,
                         sizeof(double) * std::min(kNodes, kVpuLanes));
         }
-        hw.ledger().counters().vpu_ops += static_cast<uint64_t>(2 * kRows);
-        hw.ChargeCycles(2.0 * kRows / static_cast<double>(hw.cfg().vpu_pipes));
+        hw.VpuOps(2 * kRows);
       }
     }
     batch_fill = 0;

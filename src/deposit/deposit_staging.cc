@@ -120,9 +120,7 @@ void StageTileVpu(HwContext& hw, const ParticleTile& tile, const DepositParams& 
     }
     // Vectorized staging arithmetic for the batch (charged in one go; the real
     // per-lane arithmetic runs below).
-    hw.ledger().counters().vpu_ops += static_cast<uint64_t>(VpuStagingOps<Order>());
-    hw.ChargeCycles(VpuStagingOps<Order>() /
-                    static_cast<double>(hw.cfg().vpu_pipes));
+    hw.VpuOps(VpuStagingOps<Order>());
     // Real arithmetic (values must be exact; compute per lane).
     for (size_t i = base; i < base + batch; ++i) {
       StageOneParticle<Order>(soa, i, params, scratch);

@@ -169,10 +169,7 @@ void StageEsirkepovTile(HwContext& hw, const ParticleTile& tile,
       hw.TouchRead(stream->data() + base, sizeof(double) * batch);
       hw.ledger().counters().vpu_mem += 1;
     }
-    hw.ledger().counters().vpu_ops +=
-        static_cast<uint64_t>(VpuEsirkepovStagingOps<Order>());
-    hw.ChargeCycles(VpuEsirkepovStagingOps<Order>() /
-                    static_cast<double>(hw.cfg().vpu_pipes));
+    hw.VpuOps(VpuEsirkepovStagingOps<Order>());
     // Real arithmetic (values must be exact; compute per live lane).
     for (size_t i = base; i < base + batch; ++i) {
       if (tile.IsLive(static_cast<int32_t>(i))) {
@@ -317,8 +314,7 @@ void ReduceEsirkepovToGrid(HwContext& hw, TileCurrent& tile_j, FieldSet& fields)
           drow[i] += srow[i];
         }
         hw.TouchWrite(drow, sizeof(double) * static_cast<size_t>(nx));
-        hw.ledger().counters().vpu_ops += static_cast<uint64_t>(2 * rows8);
-        hw.ChargeCycles(2.0 * rows8 / static_cast<double>(hw.cfg().vpu_pipes));
+        hw.VpuOps(2 * rows8);
       }
     }
     std::fill(src.begin(), src.end(), 0.0);

@@ -187,9 +187,9 @@ struct EsirkepovScratch {
 
 // Reconstructs the unstored last m lane of `axis` from the last d lane and
 // the width/direction bits (see EsirkepovScratch): zero when narrow,
-// +d_last/2 on a forward crossing, -d_last/2 on a backward one. Every
-// combine kernel (staged scalar, sparse VPU fallback, MPU packing) must use
-// this one helper so the reconstructed values stay mutually bit-identical.
+// +d_last/2 on a forward crossing, -d_last/2 on a backward one. Both combine
+// kernels (staged scalar, MPU packing) must use this one helper so the
+// reconstructed values stay mutually bit-identical.
 inline double EsirkepovWideLastM(uint8_t wide_bits, int axis, double d_last) {
   if (((wide_bits >> axis) & 1) == 0) return 0.0;
   return ((wide_bits >> (3 + axis)) & 1) != 0 ? -0.5 * d_last : 0.5 * d_last;

@@ -8,11 +8,6 @@
 namespace mpic {
 namespace {
 
-void ChargeVpuOps(HwContext& hw, int n) {
-  hw.ledger().counters().vpu_ops += static_cast<uint64_t>(n);
-  hw.ChargeCycles(n / static_cast<double>(hw.cfg().vpu_pipes));
-}
-
 // Row / column axis of each plane tile (0=x, 1=y, 2=z); see esirkepov_mpu.h.
 constexpr int kPlaneRowAxis[3] = {1, 2, 1};
 constexpr int kPlaneColAxis[3] = {2, 0, 0};
@@ -76,7 +71,7 @@ void EsirkMopaGroup(HwContext& hw, const WindowView<Order>* views, int g,
   // Operand assembly: six lane blends per extra group member (the six operand
   // registers merge g window loads each) plus two k12 pre-scales shared by
   // the three planes' difference columns.
-  ChargeVpuOps(hw, 6 * (g > 1 ? g - 1 : 1) + 2);
+  hw.VpuOps(6 * (g > 1 ? g - 1 : 1) + 2);
   for (int plane = 0; plane < 3; ++plane) {
     const int ra = kPlaneRowAxis[plane];
     const int ca = kPlaneColAxis[plane];
@@ -125,7 +120,7 @@ void ExtractParticle(HwContext& hw, const WindowView<Order>& v, int off,
     }
   }
   // Per axis: log2(run lanes) shifted-add cumsum steps + the cf fold.
-  ChargeVpuOps(hw, Order == 1 ? 6 : 9);
+  hw.VpuOps(Order == 1 ? 6 : 9);
 
   double* jx = tile_j.jx().data();
   double* jy = tile_j.jy().data();
@@ -141,7 +136,7 @@ void ExtractParticle(HwContext& hw, const WindowView<Order>& v, int off,
       const double t = row[off + c];
       const int64_t node = tile_j.Index(v.base[0], v.base[1] + b, v.base[2] + c);
       hw.TouchRead(&jx[node], sizeof(double) * (kW - 1));
-      ChargeVpuOps(hw, 1);  // by-element FMA: jx_vec += u_x * T[b][c]
+      hw.VpuOps(1);  // by-element FMA: jx_vec += u_x * T[b][c]
       for (int a = 0; a < kW - 1; ++a) {
         jx[node + a] += u[0][a] * t;
       }
@@ -159,7 +154,7 @@ void ExtractParticle(HwContext& hw, const WindowView<Order>& v, int off,
         const int64_t node =
             tile_j.Index(v.base[0], v.base[1] + b, v.base[2] + c);
         hw.TouchRead(&jy[node], sizeof(double) * static_cast<size_t>(wx));
-        ChargeVpuOps(hw, 1);  // by-element FMA: jy_vec += T_row * u_y[b]
+        hw.VpuOps(1);  // by-element FMA: jy_vec += T_row * u_y[b]
         for (int a = 0; a < wx; ++a) {
           jy[node + a] += u[1][b] * rows[c][off + a];
         }
@@ -178,7 +173,7 @@ void ExtractParticle(HwContext& hw, const WindowView<Order>& v, int off,
         const int64_t node =
             tile_j.Index(v.base[0], v.base[1] + b, v.base[2] + c);
         hw.TouchRead(&jz[node], sizeof(double) * static_cast<size_t>(wx));
-        ChargeVpuOps(hw, 1);  // by-element FMA: jz_vec += T_row * u_z[c]
+        hw.VpuOps(1);  // by-element FMA: jz_vec += T_row * u_z[c]
         for (int a = 0; a < wx; ++a) {
           jz[node + a] += u[2][c] * rows[b][off + a];
         }
@@ -220,7 +215,7 @@ void ExtractParticleToAccum(HwContext& hw, const WindowView<Order>& v, int off,
       u[axis][t] = v.cf[axis] * s;
     }
   }
-  ChargeVpuOps(hw, Order == 1 ? 6 : 9);
+  hw.VpuOps(Order == 1 ? 6 : 9);
 
   // Same run structure as ExtractParticle, but every run lands in the
   // register block: one by-element FMA per run, no memory traffic.
@@ -228,7 +223,7 @@ void ExtractParticleToAccum(HwContext& hw, const WindowView<Order>& v, int off,
     const Vec8 row = hw.TileReadRow(tiles[0], off + b);
     for (int c = 0; c < kN; ++c) {
       const double t = row[off + c];
-      ChargeVpuOps(hw, 1);
+      hw.VpuOps(1);
       for (int a = 0; a < kN; ++a) {
         acc.jx[(b * kN + c) * kN + a] += u[0][a] * t;
       }
@@ -241,7 +236,7 @@ void ExtractParticleToAccum(HwContext& hw, const WindowView<Order>& v, int off,
     }
     for (int b = 0; b < kN; ++b) {
       for (int c = 0; c < kN; ++c) {
-        ChargeVpuOps(hw, 1);
+        hw.VpuOps(1);
         for (int a = 0; a < kN; ++a) {
           acc.jy[(b * kN + c) * kN + a] += u[1][b] * rows[c][off + a];
         }
@@ -255,7 +250,7 @@ void ExtractParticleToAccum(HwContext& hw, const WindowView<Order>& v, int off,
     }
     for (int c = 0; c < kN; ++c) {
       for (int b = 0; b < kN; ++b) {
-        ChargeVpuOps(hw, 1);
+        hw.VpuOps(1);
         for (int a = 0; a < kN; ++a) {
           acc.jz[(b * kN + c) * kN + a] += u[2][c] * rows[b][off + a];
         }
@@ -277,7 +272,7 @@ void FlushAccum(HwContext& hw, const NarrowAccum<Order>& acc,
         const int64_t node =
             tile_j.Index(acc.base[0], acc.base[1] + b, acc.base[2] + c);
         hw.TouchRead(&j[comp][node], sizeof(double) * kN);
-        ChargeVpuOps(hw, 1);  // vector add of the register block's run
+        hw.VpuOps(1);  // vector add of the register block's run
         for (int a = 0; a < kN; ++a) {
           j[comp][node + a] += blk[(b * kN + c) * kN + a];
         }
@@ -364,7 +359,7 @@ void ProcessBatch(HwContext& hw, const EsirkepovScratch& scratch,
           std::fill(std::begin(accum.jz), std::end(accum.jz), 0.0);
           // Zeroing the register block: one vector zero per Vec8 of footprint.
           constexpr int kN = Order + 1;
-          ChargeVpuOps(hw, 3 * ((kN * kN * kN + kVpuLanes - 1) / kVpuLanes));
+          hw.VpuOps(3 * ((kN * kN * kN + kVpuLanes - 1) / kVpuLanes));
         }
         if (accum.base[0] == v.base[0] && accum.base[1] == v.base[1] &&
             accum.base[2] == v.base[2]) {
@@ -381,104 +376,12 @@ void ProcessBatch(HwContext& hw, const EsirkepovScratch& scratch,
   }
 }
 
-// Sparse-bin fallback: per-particle VPU combine reproducing
-// DepositEsirkepovTile's arithmetic (same expressions, same order) so the
-// adaptive path stays bitwise identical to the staged scalar kernel.
-template <int Order>
-void DepositEsirkepovBinVpu(HwContext& hw, const EsirkepovScratch& scratch,
-                            const double f[3], const int32_t* pids, int32_t len,
-                            TileCurrent& tile_j) {
-  constexpr int kW = Order + 2;
-  constexpr double k12 = 1.0 / 12.0;
-  double* jx = tile_j.jx().data();
-  double* jy = tile_j.jy().data();
-  double* jz = tile_j.jz().data();
-  for (int32_t s = 0; s < len; ++s) {
-    const auto i = static_cast<size_t>(pids[s]);
-    hw.TouchRead(&scratch.bx[i], sizeof(int32_t));
-    hw.TouchRead(&scratch.by[i], sizeof(int32_t));
-    hw.TouchRead(&scratch.bz[i], sizeof(int32_t));
-    hw.TouchRead(scratch.Win(i),
-                 sizeof(double) * static_cast<size_t>(scratch.stride()));
-    hw.TouchRead(&scratch.qf[i], sizeof(double));
-    hw.TouchRead(&scratch.wide[i], sizeof(uint8_t));
-
-    const double* w = scratch.Win(i);
-    const double* dX = w + scratch.OffD(0);
-    const double* dY = w + scratch.OffD(1);
-    const double* dZ = w + scratch.OffD(2);
-    // Full m windows: stored lanes + the reconstructed last lane, exactly as
-    // the staged scalar kernel rebuilds them (bitwise-identical fallback).
-    const uint8_t wb = scratch.wide[i];
-    double mX[kW], mY[kW], mZ[kW];
-    double* ms[3] = {mX, mY, mZ};
-    for (int axis = 0; axis < 3; ++axis) {
-      const double* stored = w + scratch.OffM(axis);
-      for (int t = 0; t < kW - 1; ++t) {
-        ms[axis][t] = stored[t];
-      }
-      ms[axis][kW - 1] =
-          EsirkepovWideLastM(wb, axis, (w + scratch.OffD(axis))[kW - 1]);
-    }
-    const double cfx = scratch.qf[i] * f[0];
-    const double cfy = scratch.qf[i] * f[1];
-    const double cfz = scratch.qf[i] * f[2];
-    const int bx = scratch.bx[i];
-    const int by = scratch.by[i];
-    const int bz = scratch.bz[i];
-    hw.ScalarOps(9);
-
-    for (int c = 0; c < kW; ++c) {
-      for (int b = 0; b < kW; ++b) {
-        const double ty = mY[b] * mZ[c] + k12 * dY[b] * dZ[c];
-        double acc = 0.0;
-        const int64_t row = tile_j.Index(bx, by + b, bz + c);
-        hw.TouchRead(&jx[row], sizeof(double) * (kW - 1));
-        ChargeVpuOps(hw, 3);  // plane term + prefix FMA across the run
-        for (int a = 0; a < kW - 1; ++a) {
-          acc -= dX[a] * ty;
-          jx[row + a] += cfx * acc;
-        }
-        hw.TouchWrite(&jx[row], sizeof(double) * (kW - 1));
-      }
-    }
-    for (int c = 0; c < kW; ++c) {
-      for (int a = 0; a < kW; ++a) {
-        const double tx = mX[a] * mZ[c] + k12 * dX[a] * dZ[c];
-        double acc = 0.0;
-        ChargeVpuOps(hw, 3);
-        for (int b = 0; b < kW - 1; ++b) {
-          acc -= dY[b] * tx;
-          const int64_t node = tile_j.Index(bx + a, by + b, bz + c);
-          hw.TouchRead(&jy[node], sizeof(double));
-          jy[node] += cfy * acc;
-          hw.TouchWrite(&jy[node], sizeof(double));
-        }
-      }
-    }
-    for (int b = 0; b < kW; ++b) {
-      for (int a = 0; a < kW; ++a) {
-        const double txy = mX[a] * mY[b] + k12 * dX[a] * dY[b];
-        double acc = 0.0;
-        ChargeVpuOps(hw, 3);
-        for (int c = 0; c < kW - 1; ++c) {
-          acc -= dZ[c] * txy;
-          const int64_t node = tile_j.Index(bx + a, by + b, bz + c);
-          hw.TouchRead(&jz[node], sizeof(double));
-          jz[node] += cfz * acc;
-          hw.TouchWrite(&jz[node], sizeof(double));
-        }
-      }
-    }
-  }
-}
-
 }  // namespace
 
 template <int Order>
 void DepositEsirkepovMpuTile(HwContext& hw, const ParticleTile& tile,
                              const DepositParams& params,
-                             MpuScheduling scheduling, int sparse_fallback_ppc,
+                             MpuScheduling scheduling,
                              const EsirkepovScratch& scratch,
                              TileCurrent& tile_j) {
   PhaseScope phase(hw.ledger(), Phase::kCompute);
@@ -489,10 +392,6 @@ void DepositEsirkepovMpuTile(HwContext& hw, const ParticleTile& tile,
   if (scheduling == MpuScheduling::kCellResident) {
     ForEachCellBin(hw, tile, [&](int cell, const int32_t* pids, int32_t len) {
       (void)cell;
-      if (len < sparse_fallback_ppc) {
-        DepositEsirkepovBinVpu<Order>(hw, scratch, f, pids, len, tile_j);
-        return;
-      }
       for (int32_t s = 0; s < len; s += kVpuLanes) {
         const int count =
             static_cast<int>(std::min<int32_t>(kVpuLanes, len - s));
@@ -519,15 +418,12 @@ void DepositEsirkepovMpuTile(HwContext& hw, const ParticleTile& tile,
 
 template void DepositEsirkepovMpuTile<1>(HwContext&, const ParticleTile&,
                                          const DepositParams&, MpuScheduling,
-                                         int, const EsirkepovScratch&,
-                                         TileCurrent&);
+                                         const EsirkepovScratch&, TileCurrent&);
 template void DepositEsirkepovMpuTile<2>(HwContext&, const ParticleTile&,
                                          const DepositParams&, MpuScheduling,
-                                         int, const EsirkepovScratch&,
-                                         TileCurrent&);
+                                         const EsirkepovScratch&, TileCurrent&);
 template void DepositEsirkepovMpuTile<3>(HwContext&, const ParticleTile&,
                                          const DepositParams&, MpuScheduling,
-                                         int, const EsirkepovScratch&,
-                                         TileCurrent&);
+                                         const EsirkepovScratch&, TileCurrent&);
 
 }  // namespace mpic

@@ -55,12 +55,11 @@
 // register file (1-4 Vec8 each); order 3 keeps per-particle extraction, where
 // the direct-scheme baseline is already beaten outright.
 //
-// Scheduling mirrors DepositMpu: cell-resident rides the GPMA bins (pairs come
-// from the same cell; bins below sparse_fallback_ppc take a per-particle VPU
-// path that reproduces DepositEsirkepovTile's arithmetic bit-for-bit),
-// pairwise walks slot order for the unsorted hybrid variants. Values are
-// schedule- and core-count-invariant: kernel selection and iteration order
-// depend only on the configuration and the particle data.
+// Scheduling mirrors DepositMpu: cell-resident rides the GPMA bins (groups
+// come from the same cell), pairwise walks slot order for the unsorted hybrid
+// variants; every bin takes the MPU path, however few particles it holds.
+// Values are schedule- and core-count-invariant: kernel selection and
+// iteration order depend only on the configuration and the particle data.
 
 #ifndef MPIC_SRC_DEPOSIT_ESIRKEPOV_MPU_H_
 #define MPIC_SRC_DEPOSIT_ESIRKEPOV_MPU_H_
@@ -79,7 +78,7 @@ namespace mpic {
 template <int Order>
 void DepositEsirkepovMpuTile(HwContext& hw, const ParticleTile& tile,
                              const DepositParams& params,
-                             MpuScheduling scheduling, int sparse_fallback_ppc,
+                             MpuScheduling scheduling,
                              const EsirkepovScratch& scratch,
                              TileCurrent& tile_j);
 

@@ -45,13 +45,15 @@ struct LedgerCounters {
   // Tile slots carrying useful work, summed over all MOPA issues (each MOPA
   // has kMpuTile^2 = 64 slots). mopa_valid_slots / (64 * mopas) is the mean
   // MPU occupancy — the measured form of the per-kernel utilization figures
-  // (25% CIC / 50% QSP direct; window-width dependent for Esirkepov).
+  // (37.5% CIC / 75% QSP direct; window-width dependent for Esirkepov).
   uint64_t mopa_valid_slots = 0;
   // The subset of mopas / mopa_valid_slots issued under Phase::kGather (the
   // cell-batched field gather, src/push/field_gather.h). Deposit-only MPU
   // figures are the ledger-wide pair minus this one.
   uint64_t gather_mopas = 0;
   uint64_t gather_mopa_valid_slots = 0;
+  // No modeled kernel issues atomics, so this stays 0; it is kept because the
+  // checkpoint v4 counter layout and the perfbench ledger trace include it.
   uint64_t atomics = 0;
   // Work-stealing events (TileSchedulePolicy::kCostSteal): number of tile
   // tasks a core pulled from another core's queue, and the modeled cycles

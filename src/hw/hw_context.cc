@@ -96,12 +96,6 @@ void HwContext::AccumScalar(double* p, double v) {
   *p += v;
 }
 
-void HwContext::AtomicAccumScalar(double* p, double v) {
-  ++ledger_.counters().atomics;
-  ledger_.AddCycles(cfg_.atomic_extra_cycles);
-  AccumScalar(p, v);
-}
-
 void HwContext::TouchRead(const void* p, size_t bytes) {
   ChargeMem(p, bytes, cfg_.scalar_mem_issue_cycles, /*write=*/false, 0);
 }
@@ -136,16 +130,6 @@ void HwContext::VStore(double* p, const Vec8& v) {
             /*write=*/true, 1);
   for (int i = 0; i < kVpuLanes; ++i) {
     p[i] = v[i];
-  }
-}
-
-void HwContext::VStoreMasked(double* p, const Vec8& v, const Mask8& m) {
-  ChargeMem(p, sizeof(double) * kVpuLanes, cfg_.vector_mem_issue_cycles,
-            /*write=*/true, 1);
-  for (int i = 0; i < kVpuLanes; ++i) {
-    if (m.lane[static_cast<size_t>(i)]) {
-      p[i] = v[i];
-    }
   }
 }
 
@@ -225,49 +209,6 @@ void HwContext::VScatterAccum(double* base, const int64_t* idx, const Vec8& v,
   }
 }
 
-void HwContext::VScatterAccumConflict(double* base, const int64_t* idx,
-                                      const Vec8& v, const Mask8& m) {
-  // Count lanes whose target duplicates an earlier active lane: each duplicate
-  // forces a serialized retry (Fig. 2 of the paper).
-  int conflicts = 0;
-  for (int i = 0; i < kVpuLanes; ++i) {
-    if (!m.lane[static_cast<size_t>(i)]) {
-      continue;
-    }
-    for (int j = 0; j < i; ++j) {
-      if (m.lane[static_cast<size_t>(j)] && idx[j] == idx[i]) {
-        ++conflicts;
-        break;
-      }
-    }
-  }
-  if (conflicts > 0) {
-    ledger_.counters().atomics += static_cast<uint64_t>(conflicts);
-    ledger_.AddCycles(cfg_.atomic_extra_cycles * conflicts);
-  }
-  VScatterAccum(base, idx, v, m);
-}
-
-Vec8 HwContext::VAdd(const Vec8& a, const Vec8& b) {
-  ++ledger_.counters().vpu_ops;
-  ledger_.AddCycles(vpu_op_cycles_);
-  Vec8 r;
-  for (int i = 0; i < kVpuLanes; ++i) {
-    r[i] = a[i] + b[i];
-  }
-  return r;
-}
-
-Vec8 HwContext::VSub(const Vec8& a, const Vec8& b) {
-  ++ledger_.counters().vpu_ops;
-  ledger_.AddCycles(vpu_op_cycles_);
-  Vec8 r;
-  for (int i = 0; i < kVpuLanes; ++i) {
-    r[i] = a[i] - b[i];
-  }
-  return r;
-}
-
 Vec8 HwContext::VMul(const Vec8& a, const Vec8& b) {
   ++ledger_.counters().vpu_ops;
   ledger_.AddCycles(vpu_op_cycles_);
@@ -286,63 +227,6 @@ Vec8 HwContext::VFma(const Vec8& a, const Vec8& b, const Vec8& c) {
     r[i] = std::fma(a[i], b[i], c[i]);
   }
   return r;
-}
-
-Vec8 HwContext::VFloor(const Vec8& a) {
-  ++ledger_.counters().vpu_ops;
-  ledger_.AddCycles(vpu_op_cycles_);
-  Vec8 r;
-  for (int i = 0; i < kVpuLanes; ++i) {
-    r[i] = std::floor(a[i]);
-  }
-  return r;
-}
-
-Vec8 HwContext::VMin(const Vec8& a, const Vec8& b) {
-  ++ledger_.counters().vpu_ops;
-  ledger_.AddCycles(vpu_op_cycles_);
-  Vec8 r;
-  for (int i = 0; i < kVpuLanes; ++i) {
-    r[i] = a[i] < b[i] ? a[i] : b[i];
-  }
-  return r;
-}
-
-Vec8 HwContext::VMax(const Vec8& a, const Vec8& b) {
-  ++ledger_.counters().vpu_ops;
-  ledger_.AddCycles(vpu_op_cycles_);
-  Vec8 r;
-  for (int i = 0; i < kVpuLanes; ++i) {
-    r[i] = a[i] > b[i] ? a[i] : b[i];
-  }
-  return r;
-}
-
-Vec8 HwContext::VBroadcast(double v) {
-  ++ledger_.counters().vpu_ops;
-  ledger_.AddCycles(vpu_op_cycles_);
-  return Vec8::Splat(v);
-}
-
-Vec8 HwContext::VPermute(const Vec8& a, const int* perm) {
-  ++ledger_.counters().vpu_ops;
-  ledger_.AddCycles(vpu_op_cycles_);
-  Vec8 r;
-  for (int i = 0; i < kVpuLanes; ++i) {
-    r[i] = a[perm[i]];
-  }
-  return r;
-}
-
-double HwContext::VReduceSum(const Vec8& a) {
-  // log2(8) = 3 shuffle+add steps.
-  ledger_.counters().vpu_ops += 3;
-  ledger_.AddCycles(3.0 * vpu_op_cycles_);
-  double s = 0.0;
-  for (int i = 0; i < kVpuLanes; ++i) {
-    s += a[i];
-  }
-  return s;
 }
 
 // ---- MPU stream ------------------------------------------------------------
@@ -378,12 +262,6 @@ void HwContext::MopaZero(MpuTileReg& tile, const Vec8& a, const Vec8& b,
       tile.At(r, c) = a[r] * b[c];
     }
   }
-}
-
-void HwContext::TileZero(MpuTileReg& tile) {
-  MPIC_CHECK_MSG(cfg_.has_mpu, "MPU kernel executed on a machine without an MPU");
-  ledger_.AddCycles(cfg_.mpu_vpu_transfer_cycles);
-  tile.Zero();
 }
 
 Vec8 HwContext::TileReadRow(const MpuTileReg& tile, int row) {

@@ -76,8 +76,6 @@ class HwContext {
   void StoreScalar(double* p, double v);
   // Scalar read-modify-write: *p += v (the canonical deposition update).
   void AccumScalar(double* p, double v);
-  // Same, through an atomic (charges cfg.atomic_extra_cycles).
-  void AtomicAccumScalar(double* p, double v);
   // Models a scalar-width access to non-double data (indices, flags).
   void TouchRead(const void* p, size_t bytes);
   void TouchWrite(const void* p, size_t bytes);
@@ -92,7 +90,6 @@ class HwContext {
   // touched.
   void VLoadLanes(const double* p, int lane0, int n, Vec8& dst);
   void VStore(double* p, const Vec8& v);
-  void VStoreMasked(double* p, const Vec8& v, const Mask8& m);
 
   // Gather/scatter with 64-bit lane indices relative to `base` (elements).
   Vec8 VGather(const double* base, const int64_t* idx, const Mask8& m);
@@ -102,29 +99,22 @@ class HwContext {
   // particle access leads to weaker compute" falls out of it.
   Vec8 VGatherAuto(const double* base, const int64_t* idx, const Mask8& m);
   void VScatter(double* base, const int64_t* idx, const Vec8& v, const Mask8& m);
-  // Scatter-accumulate: base[idx[i]] += v[i]. When two active lanes target the
-  // same element, the accumulation is serialized and charged extra — this is
-  // the Fig. 2 intra-vector conflict pathology.
-  void VScatterAccumConflict(double* base, const int64_t* idx, const Vec8& v,
-                             const Mask8& m);
-  // Conflict-free variant used by kernels that guarantee disjoint lanes
-  // (e.g. rhocell updates): no conflict detection cost, plain scatter cost.
+  // Scatter-accumulate base[idx[i]] += v[i], for kernels that guarantee
+  // disjoint lanes (e.g. rhocell updates): plain scatter cost plus one op.
   void VScatterAccum(double* base, const int64_t* idx, const Vec8& v,
                      const Mask8& m);
 
   // Register-to-register arithmetic (one VPU instruction each).
-  Vec8 VAdd(const Vec8& a, const Vec8& b);
-  Vec8 VSub(const Vec8& a, const Vec8& b);
   Vec8 VMul(const Vec8& a, const Vec8& b);
   Vec8 VFma(const Vec8& a, const Vec8& b, const Vec8& c);  // a*b + c
-  Vec8 VFloor(const Vec8& a);
-  Vec8 VMin(const Vec8& a, const Vec8& b);
-  Vec8 VMax(const Vec8& a, const Vec8& b);
-  Vec8 VBroadcast(double v);
-  // Lane permute/pack used for MPU operand assembly (charged like one op).
-  Vec8 VPermute(const Vec8& a, const int* perm);
-  // In-register horizontal sum (log2(lanes) ops charged).
-  double VReduceSum(const Vec8& a);
+  // n VPU register ops (permutes, broadcasts, multiplies, adds) charged
+  // without materializing their values — the kernels compute those in host
+  // arithmetic. One op issues per pipe per cycle. Charged as n / pipes, not
+  // n * vpu_op_cycles_: the two can differ in the last bit.
+  void VpuOps(int n) {
+    ledger_.counters().vpu_ops += static_cast<uint64_t>(n);
+    ledger_.AddCycles(n / static_cast<double>(cfg_.vpu_pipes));
+  }
 
   // ---- MPU stream ----------------------------------------------------------
 
@@ -138,12 +128,10 @@ class HwContext {
             int valid_slots = kMpuTile * kMpuTile);
   // C = a (x) b: MOPA with accumulator clear, as offered by real matrix ISAs
   // (AMX TILEZERO-fused issue, SME `fmopa` with the ZA slice zeroed). Same
-  // issue cost as Mopa; saves the separate TileZero when a tile group starts
-  // a fresh accumulation.
+  // issue cost as Mopa; no separate tile clear is needed when a tile group
+  // starts a fresh accumulation.
   void MopaZero(MpuTileReg& tile, const Vec8& a, const Vec8& b,
                 int valid_slots = kMpuTile * kMpuTile);
-  // Zeroes the tile accumulators.
-  void TileZero(MpuTileReg& tile);
   // Moves one tile row into a VPU register (tile -> vector file transfer).
   Vec8 TileReadRow(const MpuTileReg& tile, int row);
 
@@ -165,9 +153,6 @@ class HwContext {
   // scales by cfg.remote_mem_latency_factor and the descriptor line pays
   // cfg.remote_line_transfer_cycles on top, counted in tasks_stolen_remote.
   void ChargeSteal(bool remote = false);
-
-  // Seconds corresponding to the ledger's total cycles at the modeled clock.
-  double TotalSeconds() const { return cfg_.CyclesToSeconds(ledger_.TotalCycles()); }
 
   // ---- Multi-core execution (see src/hw/parallel_for.h) -------------------
 

@@ -79,8 +79,6 @@ struct MachineConfig {
   double vector_mem_issue_cycles = 0.5;
   // Issue cost of an 8-lane gather/scatter instruction (microcoded).
   double gather_issue_cycles = 4.0;
-  // Extra serialization charged per atomic read-modify-write.
-  double atomic_extra_cycles = 12.0;
   // Fork/join cost of one tile-parallel region (thread wake-up + barrier),
   // charged once per fan-out on the main ledger when num_cores > 1. Makes the
   // modeled cost of a step depend on how many separate sweeps it launches —

@@ -62,10 +62,10 @@ struct MemLocation {
 class MemMap {
  public:
   // Registers [base, base+bytes). Re-registering the same base with a size that
-  // still fits is a no-op; growing requires Forget() first (or a new region).
-  // Returns the logical base address. For arrays that may reallocate, use
-  // RegisterKeyed instead — a freed region left behind here can alias a later
-  // allocation at the same address.
+  // still fits is a no-op; a grown region at the same base moves to a fresh
+  // logical range. Returns the logical base address. For arrays that may
+  // reallocate, use RegisterKeyed instead — a freed region left behind here
+  // can alias a later allocation at the same address.
   uint64_t Register(const void* base, size_t bytes, HomeDomain home = {});
 
   // Keyed registration: `key` names one logical array. While the array stays

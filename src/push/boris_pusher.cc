@@ -55,8 +55,7 @@ void PushTileBoris(HwContext& hw, ParticleTile& tile, const GatherScratch& gathe
     for (const auto* stream : {&soa.x, &soa.y, &soa.z, &soa.ux, &soa.uy, &soa.uz}) {
       hw.TouchRead(stream->data() + base, sizeof(double) * batch);
     }
-    hw.ledger().counters().vpu_ops += 45;
-    hw.ChargeCycles(45.0 / static_cast<double>(hw.cfg().vpu_pipes));
+    hw.VpuOps(45);
 
     for (size_t i = base; i < base + batch; ++i) {
       if (!tile.IsLive(static_cast<int32_t>(i))) {

@@ -52,12 +52,6 @@ struct ParticleShapes {
   }
 };
 
-// Charges `n` VPU register operations without materializing temporaries.
-void ChargeVpuOps(HwContext& hw, int n) {
-  hw.ledger().counters().vpu_ops += static_cast<uint64_t>(n);
-  hw.ChargeCycles(n / static_cast<double>(hw.cfg().vpu_pipes));
-}
-
 // Interpolates one staggered component for one particle; charges line-granular
 // reads per (b, c) row of the support region.
 template <int Order>
@@ -78,10 +72,7 @@ double GatherComponent(HwContext& hw, const FieldArray& f, const AxisShape<Order
     }
   }
   // Arithmetic: per row, kSupport FMAs + 2 ops; vectorizes across rows.
-  hw.ledger().counters().vpu_ops +=
-      static_cast<uint64_t>(kSupport * kSupport);
-  hw.ChargeCycles(kSupport * kSupport /
-                  static_cast<double>(hw.cfg().vpu_pipes));
+  hw.VpuOps(kSupport * kSupport);
   return acc;
 }
 
@@ -282,7 +273,7 @@ void GatherBatch(HwContext& hw, const FieldSet& fields, const CellBatch<Order>& 
     }
     return;
   }
-  ChargeVpuOps(hw, w.BlendOps());
+  hw.VpuOps(w.BlendOps());
   // The batch shares both x windows (same cell, same x half-class), so the
   // x weights need no alignment.
   Vec8 sxn[kSupport];
@@ -405,7 +396,7 @@ void GatherFieldsTileCells(HwContext& hw, const ParticleTile& tile,
       const Vec8 z = hw.VGatherAuto(soa.z.data(), idx, m);
       // Six axis shapes per lane, then the half-class split (one compare,
       // two compresses).
-      ChargeVpuOps(hw, 6 * ShapeOps<Order>() + 3);
+      hw.VpuOps(6 * ShapeOps<Order>() + 3);
       for (int j = 0; j < count; ++j) {
         ParticleShapes<Order> s;
         s.Eval(g, x[j], y[j], z[j]);

@@ -73,20 +73,6 @@ int32_t NextLiveSlot(const ParticleTile& tile, int32_t start) {
 
 }  // namespace
 
-const char* FaultKindName(FaultKind k) {
-  switch (k) {
-    case FaultKind::kFieldBitFlip:
-      return "field-bit-flip";
-    case FaultKind::kParticleBitFlip:
-      return "particle-bit-flip";
-    case FaultKind::kTileSoACorrupt:
-      return "tile-soa-corrupt";
-    case FaultKind::kDropStagedMovers:
-      return "drop-staged-movers";
-  }
-  return "?";
-}
-
 FaultInjector::FaultInjector(FaultPlan plan) : plan_(std::move(plan)) {
   fired_.assign(plan_.faults.size(), 0);
 }

@@ -39,7 +39,6 @@ enum class FaultKind : int32_t {
   // tile, so the census sentinel observes the loss.
   kDropStagedMovers,
 };
-const char* FaultKindName(FaultKind k);
 
 struct FaultSpec {
   FaultKind kind = FaultKind::kFieldBitFlip;

@@ -81,18 +81,6 @@ bool HealthMonitor::AnyQuarantined() const {
   return false;
 }
 
-std::vector<std::pair<int, int>> HealthMonitor::QuarantinedTiles() const {
-  std::vector<std::pair<int, int>> out;
-  for (int sid = 0; sid < num_species_; ++sid) {
-    for (int t = 0; t < num_tiles_; ++t) {
-      if (IsQuarantined(sid, t)) {
-        out.emplace_back(sid, t);
-      }
-    }
-  }
-  return out;
-}
-
 void HealthMonitor::AccumulateTilePartial(const HealthTilePartial& part) {
   step_partial_.nonfinite += part.nonfinite;
   step_partial_.out_of_bounds += part.out_of_bounds;

@@ -176,9 +176,6 @@ class HealthMonitor {
                         static_cast<size_t>(t)] != 0;
   }
   bool AnyQuarantined() const;
-  // Quarantined (species, tile) pairs of the current step, for the degraded
-  // scrub path.
-  std::vector<std::pair<int, int>> QuarantinedTiles() const;
 
   // Folds one worker's guard partial; call in worker order after each region.
   void AccumulateTilePartial(const HealthTilePartial& part);

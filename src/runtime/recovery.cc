@@ -123,7 +123,7 @@ int64_t ScrubSimulation(Simulation* sim) {
         if (!finite) {
           // Poisoned beyond repair; drop the macro-particle. The engine keeps
           // its sort structures consistent with the removal.
-          b.engine.RemoveParticle(b.tiles, t, pid);
+          b.engine.RemoveParticle(sim->hw(), b.tiles, t, pid);
           ++repaired;
           continue;
         }
@@ -138,7 +138,7 @@ int64_t ScrubSimulation(Simulation* sim) {
         const double kinetic =
             soa.w[i] * (std::sqrt(1.0 + u2 / c2) - 1.0) * b.species.mass * c2;
         if (!std::isfinite(kinetic)) {
-          b.engine.RemoveParticle(b.tiles, t, pid);
+          b.engine.RemoveParticle(sim->hw(), b.tiles, t, pid);
           ++repaired;
           continue;
         }
@@ -149,7 +149,7 @@ int64_t ScrubSimulation(Simulation* sim) {
           if (!g.InDomain(soa.x[i], soa.y[i], soa.z[i])) {
             // fmod rounding can pin an extreme value to the upper domain
             // edge; such a particle has no valid cell, so drop it.
-            b.engine.RemoveParticle(b.tiles, t, pid);
+            b.engine.RemoveParticle(sim->hw(), b.tiles, t, pid);
           }
           ++repaired;
         }

@@ -452,56 +452,6 @@ TEST(Deposit, DeadSlotsAreSkipped) {
   ExpectMatchesReference<1>(world, world.fields);
 }
 
-
-// Adaptive low-density fallback (paper Sec. 6.1): sparse bins go through a VPU
-// path; results must be identical and MOPA counts must drop.
-class SparseFallback : public ::testing::TestWithParam<std::tuple<int, int>> {};
-
-TEST_P(SparseFallback, MatchesReferenceAndSkipsMpuOnSparseBins) {
-  const auto [order, threshold] = GetParam();
-  TestWorld world(4, 3, 777);  // PPC 3: every bin is "sparse" for threshold 8
-  HwContext hw;
-  DepositScratch scratch;
-  auto run = [&](int thr, FieldSet& out) -> uint64_t {
-    HwContext local;
-    DepositScratch sc;
-    RhocellBuffer rc(world.tile.num_cells(), order);
-    if (order == 1) {
-      StageTileVpu<1>(local, world.tile, world.params, sc);
-      DepositMpu<1>(local, world.tile, world.params, sc, rc,
-                    MpuScheduling::kCellResident, thr);
-      ReduceRhocellToGrid<1>(local, world.tile, rc, out);
-    } else {
-      StageTileVpu<3>(local, world.tile, world.params, sc);
-      DepositMpu<3>(local, world.tile, world.params, sc, rc,
-                    MpuScheduling::kCellResident, thr);
-      ReduceRhocellToGrid<3>(local, world.tile, rc, out);
-    }
-    return local.ledger().counters().mopas;
-  };
-  FieldSet with_fallback(world.geom, 2);
-  const uint64_t mopas_fallback = run(threshold, with_fallback);
-  FieldSet without(world.geom, 2);
-  const uint64_t mopas_full = run(0, without);
-  if (order == 1) {
-    const auto [jx, jy, jz] = ReferenceJ<1>(world);
-    EXPECT_LT(RelMaxError(jx, with_fallback.jx.vec()), kTol);
-    EXPECT_LT(RelMaxError(jz, with_fallback.jz.vec()), kTol);
-  } else {
-    const auto [jx, jy, jz] = ReferenceJ<3>(world);
-    EXPECT_LT(RelMaxError(jx, with_fallback.jx.vec()), kTol);
-    EXPECT_LT(RelMaxError(jz, with_fallback.jz.vec()), kTol);
-  }
-  if (threshold > 3) {
-    EXPECT_EQ(mopas_fallback, 0u);  // every bin below threshold -> pure VPU
-  }
-  EXPECT_GT(mopas_full, 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, SparseFallback,
-                         ::testing::Combine(::testing::Values(1, 3),
-                                            ::testing::Values(2, 8)));
-
 TEST(CanonicalFlops, CountsAreStable) {
   // Pinned values: changing the canonical count silently rescales every
   // efficiency number in EXPERIMENTS.md.

@@ -292,7 +292,7 @@ TEST(Engine, AddRemoveParticleKeepsStructuresConsistent) {
   world.tiles.tile(h.tile).gpma().CheckInvariants();
   EXPECT_EQ(world.tiles.tile(h.tile).gpma().CellOf(h.pid),
             world.tiles.tile(h.tile).CellOfParticle(world.geom, h.pid));
-  world.engine.RemoveParticle(world.tiles, h.tile, h.pid);
+  world.engine.RemoveParticle(world.hw, world.tiles, h.tile, h.pid);
   world.tiles.tile(h.tile).gpma().CheckInvariants();
   EXPECT_FALSE(world.tiles.tile(h.tile).IsLive(h.pid));
 }

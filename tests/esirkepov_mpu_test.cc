@@ -1,7 +1,7 @@
 // Tests for the MPU Esirkepov kernel (esirkepov_mpu.h): equivalence with the
-// scalar-reference combine on both schedulings, the bitwise sparse-fallback
-// contract, the Gauss-residual / digest matrix across core counts,
-// occupancy-counter determinism, and MopaZero semantics.
+// scalar-reference combine on both schedulings, the Gauss-residual / digest
+// matrix across core counts, occupancy-counter determinism, and MopaZero
+// semantics.
 
 #include <gtest/gtest.h>
 
@@ -77,15 +77,14 @@ struct MovedWorld {
 // Stage -> MPU combine -> reduce into a fresh FieldSet.
 template <int Order>
 void RunMpuPath(HwContext& hw, MovedWorld& world, const DepositParams& dp,
-                MpuScheduling scheduling, int sparse_fallback_ppc,
-                FieldSet& fields) {
+                MpuScheduling scheduling, FieldSet& fields) {
   world.FillOldLanes();
   EsirkepovScratch scratch;
   TileCurrent tile_j;
   tile_j.Resize(world.tile, Order);
   StageEsirkepovTile<Order>(hw, world.tile, dp, /*vpu=*/true, scratch);
-  DepositEsirkepovMpuTile<Order>(hw, world.tile, dp, scheduling,
-                                 sparse_fallback_ppc, scratch, tile_j);
+  DepositEsirkepovMpuTile<Order>(hw, world.tile, dp, scheduling, scratch,
+                                 tile_j);
   ReduceEsirkepovToGrid(hw, tile_j, fields);
 }
 
@@ -102,7 +101,7 @@ void ExpectMpuMatchesReference(MpuScheduling scheduling, double max_cell_step,
   DepositEsirkepov<Order>(hw, world.tile, world.x_old, world.y_old,
                           world.z_old, dp, ref);
   FieldSet got(world.geom, 2);
-  RunMpuPath<Order>(hw, world, dp, scheduling, /*sparse_fallback_ppc=*/0, got);
+  RunMpuPath<Order>(hw, world, dp, scheduling, got);
 
   double j_scale = 0.0;
   for (const FieldArray* f : {&ref.jx, &ref.jy, &ref.jz}) {
@@ -144,83 +143,6 @@ TEST_P(MpuVsReference, PairwiseOrder3) {
 
 INSTANTIATE_TEST_SUITE_P(StepSizes, MpuVsReference,
                          ::testing::Values(0.05, 0.9));
-
-// With the sparse threshold above every bin's population, the adaptive path
-// must take the VPU fallback everywhere: zero MOPAs issued and values bitwise
-// equal to the staged scalar kernel's.
-template <int Order>
-void ExpectSparseFallbackBitwise() {
-  MovedWorld world(10, 200, 0.7, 41 + Order);
-  const DepositParams dp = world.Params(1e-15);
-  HwContext hw;
-  FieldSet scalar(world.geom, 2);
-  {
-    world.FillOldLanes();
-    EsirkepovScratch scratch;
-    TileCurrent tile_j;
-    tile_j.Resize(world.tile, Order);
-    StageEsirkepovTile<Order>(hw, world.tile, dp, /*vpu=*/true, scratch);
-    DepositEsirkepovTile<Order>(hw, world.tile, dp, /*sorted=*/true, scratch,
-                                tile_j);
-    ReduceEsirkepovToGrid(hw, tile_j, scalar);
-  }
-  const uint64_t mopas_before = hw.ledger().counters().mopas;
-  FieldSet fallback(world.geom, 2);
-  RunMpuPath<Order>(hw, world, dp, MpuScheduling::kCellResident,
-                    /*sparse_fallback_ppc=*/1 << 20, fallback);
-  EXPECT_EQ(hw.ledger().counters().mopas, mopas_before)
-      << "fallback path must not issue MOPAs";
-  const FieldArray* a[3] = {&scalar.jx, &scalar.jy, &scalar.jz};
-  const FieldArray* b[3] = {&fallback.jx, &fallback.jy, &fallback.jz};
-  for (int comp = 0; comp < 3; ++comp) {
-    EXPECT_EQ(std::memcmp(a[comp]->vec().data(), b[comp]->vec().data(),
-                          a[comp]->vec().size() * sizeof(double)),
-              0)
-        << "component " << comp << " differs bitwise at order " << Order;
-  }
-}
-
-TEST(EsirkepovMpuFallback, BitwiseMatchesStagedScalarOrder1) {
-  ExpectSparseFallbackBitwise<1>();
-}
-TEST(EsirkepovMpuFallback, BitwiseMatchesStagedScalarOrder3) {
-  ExpectSparseFallbackBitwise<3>();
-}
-
-// A mid threshold must split the bins: fewer MOPAs than the full MPU run but
-// not zero, and still within rounding of the reference.
-TEST(EsirkepovMpuFallback, CrossoverSplitsBins) {
-  MovedWorld world(10, 600, 0.7, 47);
-  const DepositParams dp = world.Params(1e-15);
-  HwContext hw;
-
-  FieldSet full(world.geom, 2);
-  const uint64_t m0 = hw.ledger().counters().mopas;
-  RunMpuPath<1>(hw, world, dp, MpuScheduling::kCellResident,
-                /*sparse_fallback_ppc=*/0, full);
-  const uint64_t full_mopas = hw.ledger().counters().mopas - m0;
-  ASSERT_GT(full_mopas, 0u);
-
-  FieldSet mixed(world.geom, 2);
-  const uint64_t m1 = hw.ledger().counters().mopas;
-  RunMpuPath<1>(hw, world, dp, MpuScheduling::kCellResident,
-                /*sparse_fallback_ppc=*/2, mixed);
-  const uint64_t mixed_mopas = hw.ledger().counters().mopas - m1;
-  EXPECT_GT(mixed_mopas, 0u) << "dense bins should still take the MPU path";
-  EXPECT_LT(mixed_mopas, full_mopas) << "sparse bins should fall back";
-
-  FieldSet ref(world.geom, 2);
-  DepositEsirkepov<1>(hw, world.tile, world.x_old, world.y_old, world.z_old,
-                      dp, ref);
-  double j_scale = 0.0;
-  for (double v : ref.jx.vec()) {
-    j_scale = std::max(j_scale, std::fabs(v));
-  }
-  ASSERT_GT(j_scale, 0.0);
-  for (size_t i = 0; i < ref.jx.vec().size(); ++i) {
-    ASSERT_NEAR(mixed.jx.vec()[i], ref.jx.vec()[i], j_scale * 1e-12);
-  }
-}
 
 // ---- Whole-simulation matrix on the MPU variant -----------------------------
 
